@@ -199,6 +199,46 @@ func TestJournalRestartCanceledStaysCanceled(t *testing.T) {
 	}
 }
 
+// TestJournalFailedAppendRejectsSubmit: a submission the journal could not
+// record is not acknowledged. With the attached journal closed, the submit
+// fails with ErrKindUnavailable (a retryable 503) and the job is withdrawn,
+// not left running unjournaled where a crash would lose it silently.
+func TestJournalFailedAppendRejectsSubmit(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	f := newJournaledFixture(t, filepath.Join(dir, "store"), filepath.Join(dir, "journal"))
+	defer func() {
+		f.hs.Close()
+		close(f.release)
+	}()
+	if err := f.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wl := tinyWorkload(t, "IR")
+	_, err := f.client.Submit(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow, Planner: "blocking", Cluster: wl.Cluster})
+	if !errors.Is(err, stubby.ErrKindUnavailable) {
+		t.Fatalf("submit over a closed journal = %v, want ErrKindUnavailable", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := f.client.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Queued == 0 && st.Busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected submission left a job behind: queued=%d busy=%d", st.Queued, st.Busy)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st, _ := f.srv.JournalStats(); st.Errors == 0 {
+		t.Error("failed journal append left no trace in the error counter")
+	}
+}
+
 // TestWireCancelRacesCompletion: Cancel issued concurrently with the
 // job's completion must land in exactly one consistent terminal state —
 // Done with a result, or Canceled with a typed error — on the wire and

@@ -9,6 +9,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/keyval"
 	"github.com/stubby-mr/stubby/internal/planio"
+	"github.com/stubby-mr/stubby/internal/recordlog"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -321,7 +322,7 @@ func TestTTLEvictsAtReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frameCatRecord(payload)); err != nil {
+	if _, err := f.Write(recordlog.Catalog.Frame(catKindEntry, nil, payload)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -8,20 +8,25 @@ package planstore
 // optimization.
 //
 // The discipline is the same crash-safe one the segment writers (and
-// internal/catalog) use: the flock, not the file's existence, is the claim.
+// internal/recordlog's logs) use: the flock, not the file's existence, is
+// the claim.
 // A replica that dies mid-compute drops its lock with its process, so the
 // next waiter's try-acquire simply succeeds and takes the computation over
 // — a stale claim file can delay nothing and deadlock nothing. A finished
 // owner removes its claim file before unlocking; an acquirer therefore
 // re-verifies (via inode identity) that the file it locked is still the
 // file at the claim path, and treats a lock on an orphaned inode as a
-// failed attempt.
+// failed attempt. Where the lock excludes nothing (recordlog.LockExcludes
+// is false), every claim is granted and only the in-process single-flight
+// holds.
 
 import (
 	"context"
 	"os"
 	"path/filepath"
 	"time"
+
+	"github.com/stubby-mr/stubby/internal/recordlog"
 )
 
 // claimPollInterval is how often a waiting replica re-probes the store and
@@ -38,7 +43,7 @@ func (c *claim) release() {
 	// lock this inode, and anyone who raced the removal fails the inode
 	// identity check below and retries against the new path.
 	_ = os.Remove(c.f.Name())
-	funlock(c.f)
+	recordlog.Unlock(c.f)
 	_ = c.f.Close()
 }
 
@@ -55,14 +60,14 @@ func (s *Store) tryClaim(addr Address) (*claim, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !tryFlock(f) {
+	if !recordlog.TryLock(f) {
 		f.Close()
 		return nil, false
 	}
 	fi, ferr := f.Stat()
 	di, derr := os.Stat(path)
 	if ferr != nil || derr != nil || !os.SameFile(fi, di) {
-		funlock(f)
+		recordlog.Unlock(f)
 		f.Close()
 		return nil, false
 	}

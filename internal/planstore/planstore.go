@@ -12,21 +12,24 @@
 // A store directory holds append-only segment files plus a snapshot index:
 //
 //	dir/
-//	  segments/seg-000001.log   one per writer lifetime, CRC-checked records
+//	  segments/seg-000001.log   one per writer lifetime, "SPLN" records
 //	  index.json                atomic-rename snapshot of address → location
+//	  claims/<address>.lock     cross-process compute claims (claims.go)
 //
-// Each writer appends to its own segment, created with O_EXCL and held
-// under an exclusive flock for the writer's lifetime. No two processes ever
-// write the same file, so the write path needs no cross-process
-// coordination beyond the per-fingerprint single-flight inside each
-// process; the read path is lock-free (records are immutable once their
-// CRC validates). Replicas see each other's publishes by rescanning
-// segments past their remembered high-water marks on a read miss.
+// Segment records use the keyed "SPLN" frame of internal/recordlog, which
+// describes it. Each writer appends to its own segment, created with O_EXCL
+// and held under an exclusive flock for the writer's lifetime. No two
+// processes ever write the same file, so the write path needs no
+// cross-process coordination beyond the per-fingerprint single-flight
+// inside each process; the read path is lock-free (records are immutable
+// once their CRC validates). Replicas see each other's publishes by
+// rescanning segments past their remembered high-water marks on a read
+// miss.
 //
 // # Durability and crash safety
 //
-// A record is published by a single buffered write followed (by default) by
-// fdatasync, and the index snapshot is published with the classic
+// A record is published by a single buffered write followed by fdatasync,
+// and the index snapshot is published with the classic
 // write-temp-then-rename dance. Reopening a directory is crash-safe: a
 // valid index accelerates the load, a missing or corrupt one degrades to a
 // full segment scan, and torn record tails — a crash mid-append — are
@@ -51,6 +54,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/stubby-mr/stubby/internal/recordlog"
 	"github.com/stubby-mr/stubby/internal/wf"
 )
 
@@ -80,12 +84,23 @@ func (k Key) Address() Address {
 	}
 	h.Write([]byte(k.Planner))
 	var sum [16]byte
-	h.Sum(sum[:0])
-	return Address{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:])}
+	return addressOf(h.Sum(sum[:0]))
 }
 
 // Address is the 128-bit on-disk key of a record.
 type Address [2]uint64
+
+// addressOf decodes a big-endian 16-byte record key.
+func addressOf(key []byte) Address {
+	return Address{binary.BigEndian.Uint64(key[:8]), binary.BigEndian.Uint64(key[8:])}
+}
+
+// key encodes the address as its big-endian 16-byte record key.
+func (a Address) key() (k [16]byte) {
+	binary.BigEndian.PutUint64(k[:8], a[0])
+	binary.BigEndian.PutUint64(k[8:], a[1])
+	return k
+}
 
 // String renders the address as 32 hex digits.
 func (a Address) String() string { return fmt.Sprintf("%016x%016x", a[0], a[1]) }
@@ -173,14 +188,6 @@ func WithMemoryEntries(n int) Option {
 	}
 }
 
-// WithSync controls whether every appended record is fdatasync'd before
-// Put returns (default true). Disabling trades crash durability of the
-// most recent publishes for latency; the format stays crash-safe either
-// way (a torn tail is detected and dropped on reopen).
-func WithSync(sync bool) Option {
-	return func(s *Store) { s.sync = sync }
-}
-
 // indexPublishEvery is how many Puts elapse between index snapshots. The
 // index is purely an accelerator — reopen falls back to a segment scan —
 // so publishing lazily costs nothing but reopen time.
@@ -194,7 +201,6 @@ type Store struct {
 	dir    string
 	segDir string
 	memCap int
-	sync   bool
 
 	mu               sync.Mutex
 	index            map[Address]recLoc        // disk records (this store has seen)
@@ -224,7 +230,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		dir:     dir,
 		segDir:  filepath.Join(dir, "segments"),
 		memCap:  256,
-		sync:    true,
 		index:   make(map[Address]recLoc),
 		mem:     make(map[Address]*list.Element),
 		lru:     list.New(),
@@ -334,11 +339,10 @@ func (s *Store) cacheLocked(addr Address, doc []byte) {
 	}
 }
 
-// Put publishes doc under key: append to the owned segment (fdatasync'd
-// unless WithSync(false)), index it, cache it, and occasionally snapshot
-// the index. Publishing the same address twice is harmless — the store is
-// content-addressed, so duplicates carry identical bytes and the
-// last-indexed location wins.
+// Put publishes doc under key: append to the owned segment (fdatasync'd),
+// index it, cache it, and occasionally snapshot the index. Publishing the
+// same address twice is harmless — the store is content-addressed, so
+// duplicates carry identical bytes and the last-indexed location wins.
 func (s *Store) Put(key Key, doc []byte) error {
 	addr := key.Address()
 	s.mu.Lock()
@@ -350,7 +354,7 @@ func (s *Store) putLocked(addr Address, doc []byte) error {
 	if s.closed {
 		return errors.New("planstore: store is closed")
 	}
-	off, err := s.seg.append(addr, doc, s.sync)
+	off, err := s.seg.append(addr, doc)
 	if err != nil {
 		s.errCount.Add(1)
 		return fmt.Errorf("planstore: append: %w", err)
@@ -607,27 +611,35 @@ func parseAddress(v string) (Address, bool) {
 // a successfully acquired lock proves the writer is gone and the file is
 // immutable — safe to scan to the last valid record and physically truncate
 // the rest. Segments whose lock is held are left to refreshLocked, which
-// ignores incomplete tails until they finish. Callers hold s.mu.
+// ignores incomplete tails until they finish. Where the lock does not
+// exclude other processes (recordlog.LockExcludes is false), a granted lock
+// proves nothing, so every foreign segment is treated as live and no tail
+// is truncated. Callers hold s.mu.
 func (s *Store) recoverSegmentsLocked() {
+	if !recordlog.LockExcludes {
+		return
+	}
 	for _, name := range s.listSegments() {
-		path := filepath.Join(s.segDir, name)
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		f, err := os.OpenFile(filepath.Join(s.segDir, name), os.O_RDWR, 0)
 		if err != nil {
 			continue
 		}
-		if !tryFlock(f) {
+		if !recordlog.TryLock(f) {
 			f.Close() // live writer; leave the tail alone
 			continue
 		}
-		if valid, corrupt, _, err := scanRecords(path, 0); err == nil {
+		if fi, err := f.Stat(); err == nil {
+			valid, corrupt := recordlog.Plan.Scan(f, 0, fi.Size(), func(recordlog.Record) bool { return true })
 			if corrupt {
 				s.errCount.Add(1)
 			}
-			if fi, err := f.Stat(); err == nil && valid < fi.Size() {
-				_ = f.Truncate(valid)
+			if valid < fi.Size() {
+				if err := f.Truncate(valid); err != nil {
+					s.errCount.Add(1)
+				}
 			}
 		}
-		funlock(f)
+		recordlog.Unlock(f)
 		f.Close()
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/profile"
+	"github.com/stubby-mr/stubby/internal/recordlog"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/workloads"
 )
@@ -156,7 +157,7 @@ func TestRecoveryCorruptMiddleRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt record 3's payload (header stays valid, CRC won't).
-	data[offs[3]+recHeaderSize+2] ^= 0xff
+	data[offs[3]+recordlog.Plan.HeaderSize()+2] ^= 0xff
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -10,47 +10,29 @@ package service
 //
 // # On-disk layout
 //
-// A journal directory holds one live log plus the compaction temp file:
-//
-//	dir/
-//	  journal.log       append-only CRC-32C records, single writer (flock)
-//	  journal.log.tmp   compaction scratch, published via rename
-//
-// Each record is
-//
-//	magic   uint32  jrnMagic ("SJNL")
-//	kind    uint8   jrnKindSubmit | jrnKindState
-//	length  uint32  payload byte count
-//	crc     uint32  CRC-32C (Castagnoli) over the payload
-//	payload [length]byte  JSON (JournalRecord)
-//
-// in big-endian — the same record discipline as the plan store's
-// segments. A torn tail (crash mid-append) fails the length or CRC check
-// and freezes the scan at the last valid record; Open then compacts the
-// surviving records into a fresh log via write-temp-then-rename, which
-// both truncates the damage physically and drops records of jobs that
-// already finished, so the journal stays proportional to the in-flight
-// set rather than to history.
+// A journal directory holds journal.log, a record log in the "SJNL"
+// format of internal/recordlog (which describes the frame, the lock file
+// and the rewrite), whose payloads are JSON JournalRecords of kind
+// jrnKindSubmit or jrnKindState. Reopening replays the records up to the
+// first torn or corrupt one, then compacts the survivors into a fresh log:
+// that physically drops the damage and the records of jobs that already
+// finished, so the journal stays proportional to the in-flight set rather
+// than to history.
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/stubby-mr/stubby/internal/recordlog"
 )
 
 const (
-	jrnMagic      = 0x534a4e4c // "SJNL"
 	jrnKindSubmit = 1
 	jrnKindState  = 2
-	jrnHeaderSize = 4 + 1 + 4 + 4
-	jrnMaxRecord  = 1 << 30 // sanity bound; request docs are a few KB
 
 	jrnFile = "journal.log"
 
@@ -62,8 +44,6 @@ const (
 	defaultCompactEvery = 256
 	defaultCompactBytes = 8 << 20
 )
-
-var jrnCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // JournalRecord is the JSON payload of one journal record. Submit records
 // carry the request document and, when the submitter propagated one, the
@@ -124,18 +104,16 @@ type Journal struct {
 	dir  string
 	sync bool
 
-	mu   sync.Mutex
-	f    *os.File
-	lock *os.File // dir/journal.lock, held (flock) for the journal's lifetime
+	mu  sync.Mutex
+	log *recordlog.Log
 
 	// Live-compaction state, all guarded by mu: the in-flight jobs' submit
 	// records (what a compaction must preserve), how much droppable history
 	// has accumulated, and the thresholds that trigger a rewrite.
 	live          map[string]*liveJob
 	nextOrder     int
-	recordsInLog  int   // records in the log file (live + droppable)
-	logBytes      int64 // current log file size
-	terminalSince int   // terminal transitions since the last compaction
+	recordsInLog  int // records in the log file (live + droppable)
+	terminalSince int // terminal transitions since the last compaction
 	compactEvery  int
 	compactBytes  int64
 
@@ -159,229 +137,84 @@ type liveJob struct {
 // OpenJournal opens (creating if needed) the journal rooted at dir,
 // recovers its record of in-flight jobs, and compacts the log. The
 // returned incomplete jobs are in original submission order. The journal
-// takes an exclusive flock on the log for its lifetime; a second live
-// opener fails rather than interleaving appends.
+// takes an exclusive flock on dir/journal.lock for its lifetime; a second
+// live opener fails rather than interleaving appends.
 func OpenJournal(dir string) (*Journal, []IncompleteJob, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	path := filepath.Join(dir, jrnFile)
 	j := &Journal{dir: dir, sync: true,
 		live:         make(map[string]*liveJob),
 		compactEvery: defaultCompactEvery,
 		compactBytes: defaultCompactBytes,
 	}
-
-	// The lock lives in a dedicated file (never renamed-over by
-	// compaction, so its inode — and the flock on it — is stable): one live
-	// writer per directory, enforced before recovery mutates anything.
-	lock, err := os.OpenFile(filepath.Join(dir, "journal.lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	// Replay the records into the live set, as the appends built it.
+	log, torn, err := recordlog.Open(filepath.Join(dir, jrnFile), recordlog.Journal, func(r recordlog.Record) bool {
+		var rec JournalRecord
+		if json.Unmarshal(r.Payload, &rec) != nil || rec.ID == "" {
+			return false
+		}
+		j.recordsInLog++
+		j.track(r.Kind, &rec)
+		return true
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if !tryJrnFlock(lock) {
-		lock.Close()
-		return nil, nil, fmt.Errorf("journal: %s is held by a live writer", dir)
-	}
-	j.lock = lock
-
-	fail := func(err error) (*Journal, []IncompleteJob, error) {
-		funlockJrn(lock)
-		lock.Close()
-		return nil, nil, err
-	}
-
-	recs, torn, err := scanJournal(path)
-	if err != nil {
-		return fail(err)
-	}
-	j.tornBytes = torn
-
-	// Replay the records into per-job state, preserving submission order.
-	type jobRec struct {
-		doc      json.RawMessage
-		deadline int64
-		terminal bool
-		order    int
-	}
-	jobs := make(map[string]*jobRec)
-	var order []string
-	for _, r := range recs {
-		switch {
-		case len(r.Doc) > 0:
-			if _, ok := jobs[r.ID]; !ok {
-				jobs[r.ID] = &jobRec{doc: r.Doc, deadline: r.DeadlineUnixMS, order: len(order)}
-				order = append(order, r.ID)
-			}
-		case r.State != "":
-			if jr, ok := jobs[r.ID]; ok {
-				if st, perr := ParseState(r.State); perr == nil && st.Terminal() {
-					jr.terminal = true
-				}
-			}
-		}
-	}
-	var incomplete []IncompleteJob
-	for _, id := range order {
-		jr := jobs[id]
-		if jr.terminal {
-			continue
-		}
-		incomplete = append(incomplete, IncompleteJob{ID: id, Doc: jr.doc, DeadlineUnixMS: jr.deadline})
-	}
-	sort.SliceStable(incomplete, func(a, b int) bool {
-		return jobs[incomplete[a].ID].order < jobs[incomplete[b].ID].order
-	})
-	j.recovered = len(incomplete)
-	j.compacted = len(recs) - len(incomplete)
-
-	// Compact: rewrite only the incomplete jobs' submit records into a
-	// fresh log and publish it with the classic temp+rename dance. This is
+	j.log, j.tornBytes, j.recovered = log, torn, len(j.live)
+	// Compact: rewrite only the incomplete jobs' submit records. This is
 	// also what physically truncates a torn tail.
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	ids, err := j.compactLocked()
 	if err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
+		log.Close()
+		return nil, nil, fmt.Errorf("journal: compact: %w", err)
 	}
-	for _, in := range incomplete {
-		rec := JournalRecord{ID: in.ID, Doc: in.Doc, DeadlineUnixMS: in.DeadlineUnixMS}
-		buf, err := encodeJournalRecord(jrnKindSubmit, &rec)
-		if err != nil {
-			tf.Close()
-			return fail(err)
-		}
-		if _, err := tf.Write(buf); err != nil {
-			tf.Close()
-			return fail(fmt.Errorf("journal: compact: %w", err))
-		}
-		j.logBytes += int64(len(buf))
+	incomplete := make([]IncompleteJob, len(ids))
+	for i, id := range ids {
+		incomplete[i] = IncompleteJob{ID: id, Doc: j.live[id].doc, DeadlineUnixMS: j.live[id].deadline}
 	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-	if err := tf.Close(); err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("journal: compact: %w", err))
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("journal: %w", err))
-	}
-	j.f = f
-	for _, in := range incomplete {
-		j.live[in.ID] = &liveJob{doc: in.Doc, deadline: in.DeadlineUnixMS, order: j.nextOrder}
-		j.nextOrder++
-	}
-	j.recordsInLog = len(incomplete)
 	return j, incomplete, nil
 }
 
-// scanJournal reads every valid record from path, stopping at the first
-// torn or corrupt one, and reports how many trailing bytes it discarded.
-// A missing file is an empty journal.
-func scanJournal(path string) ([]JournalRecord, int64, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	var recs []JournalRecord
-	off := int64(0)
-	size := int64(len(data))
-	for off+jrnHeaderSize <= size {
-		hdr := data[off:]
-		if binary.BigEndian.Uint32(hdr) != jrnMagic {
-			break
+// track folds one record into the live set: a submit adds its job, a
+// terminal transition of a live job removes it.
+func (j *Journal) track(kind byte, rec *JournalRecord) {
+	if kind == jrnKindSubmit {
+		if _, ok := j.live[rec.ID]; !ok {
+			j.live[rec.ID] = &liveJob{doc: rec.Doc, deadline: rec.DeadlineUnixMS, order: j.nextOrder}
+			j.nextOrder++
 		}
-		kind := hdr[4]
-		if kind != jrnKindSubmit && kind != jrnKindState {
-			break
-		}
-		n := int64(binary.BigEndian.Uint32(hdr[5:]))
-		if n > jrnMaxRecord || off+jrnHeaderSize+n > size {
-			break
-		}
-		payload := data[off+jrnHeaderSize : off+jrnHeaderSize+n]
-		if crc32.Checksum(payload, jrnCRCTable) != binary.BigEndian.Uint32(hdr[9:]) {
-			break
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
-			break
-		}
-		recs = append(recs, rec)
-		off += jrnHeaderSize + n
+		return
 	}
-	return recs, size - off, nil
-}
-
-// encodeJournalRecord frames one record: header, CRC, JSON payload.
-func encodeJournalRecord(kind byte, rec *JournalRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
+	if _, ok := j.live[rec.ID]; ok {
+		if st, err := ParseState(rec.State); err == nil && st.Terminal() {
+			delete(j.live, rec.ID)
+			j.terminalSince++
+		}
 	}
-	if len(payload) > jrnMaxRecord {
-		return nil, fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
-	}
-	buf := make([]byte, jrnHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(buf[0:], jrnMagic)
-	buf[4] = kind
-	binary.BigEndian.PutUint32(buf[5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[9:], crc32.Checksum(payload, jrnCRCTable))
-	copy(buf[jrnHeaderSize:], payload)
-	return buf, nil
 }
 
 // append writes one framed record and (by default) fdatasyncs it, so an
 // acknowledged submission survives an immediate SIGKILL.
 func (j *Journal) append(kind byte, rec *JournalRecord) error {
-	buf, err := encodeJournalRecord(kind, rec)
+	payload, err := json.Marshal(rec)
 	if err != nil {
 		j.errs.Add(1)
-		return err
+		return fmt.Errorf("journal: encode: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		j.errs.Add(1)
-		return errors.New("journal: closed")
-	}
-	if _, err := j.f.Write(buf); err != nil {
+	n, err := j.log.Append(kind, payload, j.sync)
+	j.bytesWritten.Add(uint64(n))
+	if err != nil {
 		j.errs.Add(1)
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	j.bytesWritten.Add(uint64(len(buf)))
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			j.errs.Add(1)
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-	}
 	j.recordsInLog++
-	j.logBytes += int64(len(buf))
-	switch kind {
-	case jrnKindSubmit:
-		if _, ok := j.live[rec.ID]; !ok {
-			j.live[rec.ID] = &liveJob{doc: rec.Doc, deadline: rec.DeadlineUnixMS, order: j.nextOrder}
-			j.nextOrder++
-		}
-	case jrnKindState:
-		if st, perr := ParseState(rec.State); perr == nil && st.Terminal() {
-			if _, ok := j.live[rec.ID]; ok {
-				delete(j.live, rec.ID)
-				j.terminalSince++
-			}
-		}
-	}
+	j.track(kind, rec)
 	if j.shouldCompactLocked() {
-		j.compactLocked()
+		if _, err := j.compactLocked(); err != nil {
+			j.errs.Add(1)
+		} else {
+			j.compactions.Add(1)
+		}
 	}
 	return nil
 }
@@ -395,78 +228,36 @@ func (j *Journal) shouldCompactLocked() bool {
 		return false
 	}
 	return j.terminalSince >= j.compactEvery ||
-		(j.compactBytes > 0 && j.logBytes >= j.compactBytes)
+		(j.compactBytes > 0 && j.log.Size() >= j.compactBytes)
 }
 
 // compactLocked rewrites the log to just the live jobs' submit records, in
-// submission order, with the same write-temp-sync-rename dance the
-// reopening compaction uses — a crash at any point leaves either the old
-// or the new log fully intact. The journal.lock file is untouched (its
-// inode, and the flock on it, must stay stable across rewrites). Failures
-// count as Errors and leave the current log appendable; a failure after
-// rename reopens on the fresh log or, if even that fails, closes the
-// journal (appends then error rather than landing on a stale inode).
-// Callers hold j.mu.
-func (j *Journal) compactLocked() {
+// submission order, and returns their IDs in that order. The rewrite is
+// crash-safe and leaves journal.lock (and the flock on it) untouched; on
+// failure the current log stays appendable, or is closed if the fresh one
+// could not be reopened. Callers hold j.mu (or own j, as OpenJournal does).
+func (j *Journal) compactLocked() ([]string, error) {
 	ids := make([]string, 0, len(j.live))
 	for id := range j.live {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return j.live[ids[a]].order < j.live[ids[b]].order })
-	path := filepath.Join(j.dir, jrnFile)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		j.errs.Add(1)
-		return
-	}
-	abort := func() {
-		tf.Close()
-		os.Remove(tmp)
-		j.errs.Add(1)
-	}
-	var size int64
-	for _, id := range ids {
+	payloads := make([][]byte, len(ids))
+	for i, id := range ids {
 		lj := j.live[id]
-		rec := JournalRecord{ID: id, Doc: lj.doc, DeadlineUnixMS: lj.deadline}
-		buf, err := encodeJournalRecord(jrnKindSubmit, &rec)
+		p, err := json.Marshal(&JournalRecord{ID: id, Doc: lj.doc, DeadlineUnixMS: lj.deadline})
 		if err != nil {
-			abort()
-			return
+			return nil, err
 		}
-		if _, err := tf.Write(buf); err != nil {
-			abort()
-			return
-		}
-		size += int64(len(buf))
+		payloads[i] = p
 	}
-	if err := tf.Sync(); err != nil {
-		abort()
-		return
+	if err := j.log.Rewrite(jrnKindSubmit, payloads); err != nil {
+		return nil, err
 	}
-	if err := tf.Close(); err != nil {
-		os.Remove(tmp)
-		j.errs.Add(1)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		j.errs.Add(1)
-		return
-	}
-	j.f.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		j.errs.Add(1)
-		j.f = nil
-		return
-	}
-	j.f = f
 	j.compacted += j.recordsInLog - len(ids)
 	j.recordsInLog = len(ids)
-	j.logBytes = size
 	j.terminalSince = 0
-	j.compactions.Add(1)
+	return ids, nil
 }
 
 // SetCompactionThresholds tunes live compaction: the log is rewritten to
@@ -536,15 +327,5 @@ func (j *Journal) SetSync(sync bool) {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	if j.lock != nil {
-		funlockJrn(j.lock)
-		j.lock.Close()
-		j.lock = nil
-	}
-	return err
+	return j.log.Close()
 }

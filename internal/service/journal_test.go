@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/stubby-mr/stubby/internal/recordlog"
 )
 
 func openTestJournal(t *testing.T, dir string) (*Journal, []IncompleteJob) {
@@ -204,7 +206,7 @@ func TestJournalBadMagicFreezesTail(t *testing.T) {
 	data, _ := os.ReadFile(path)
 	// Append garbage that starts with a valid-looking length but bad magic,
 	// then a full valid-framed record with a wrong CRC.
-	garbage := make([]byte, jrnHeaderSize+4)
+	garbage := make([]byte, recordlog.Journal.HeaderSize()+4)
 	binary.BigEndian.PutUint32(garbage, 0xdeadbeef)
 	data = append(data, garbage...)
 	if err := os.WriteFile(path, data, 0o644); err != nil {

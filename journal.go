@@ -1,13 +1,13 @@
 package stubby
 
 // journal.go is the public face of the durable job journal (see
-// internal/service/journal.go for the on-disk format): OpenJournal +
-// WithJournal make a Server crash-safe. Every accepted submission is
-// journaled — verbatim request document, propagated deadline, and each
-// lifecycle transition — in an append-only CRC-checked log, and a server
-// constructed over a reopened journal re-enqueues exactly the jobs that
-// were in flight when the previous process died, under their original
-// IDs. Re-executed jobs complete idempotently through the plan store
+// internal/service/journal.go and internal/recordlog for the on-disk
+// format): OpenJournal + WithJournal make a Server crash-safe. Every
+// accepted submission is journaled — verbatim request document,
+// propagated deadline, and each lifecycle transition — in an append-only
+// CRC-checked log, and a server constructed over a reopened journal
+// re-enqueues exactly the jobs that were in flight when the previous
+// process died, under their original IDs. Re-executed jobs complete idempotently through the plan store
 // (same fingerprint key, byte-identical plan), canceled jobs stay
 // canceled, and finished jobs are never resurrected.
 
@@ -68,13 +68,14 @@ func (j *Journal) Dir() string { return j.j.Dir() }
 func (j *Journal) Close() error { return j.j.Close() }
 
 // WithJournal attaches a durable job journal to the server: accepted
-// submissions are journaled before they are acknowledged, lifecycle
-// transitions are appended as they happen, and NewServer re-enqueues the
-// journal's incomplete jobs — under their original IDs — before serving
-// traffic. A journaled server also deduplicates in-flight submissions: a
-// request whose resolved (workflow, cluster, planner, seed) fingerprint
-// matches a live job attaches to that job instead of starting another,
-// which is what makes client submit retries idempotent.
+// submissions are journaled before they are acknowledged (one the journal
+// cannot record is withdrawn and rejected with ErrKindUnavailable),
+// lifecycle transitions are appended as they happen, and NewServer
+// re-enqueues the journal's incomplete jobs — under their original IDs —
+// before serving traffic. A journaled server also deduplicates in-flight
+// submissions: a request whose resolved (workflow, cluster, planner, seed)
+// fingerprint matches a live job attaches to that job instead of starting
+// another, which is what makes client submit retries idempotent.
 func WithJournal(j *Journal) ServerOption {
 	return func(s *Server) {
 		if j != nil {

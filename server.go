@@ -306,7 +306,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if !oreq.deadline.IsZero() {
 			deadlineMS = oreq.deadline.UnixMilli()
 		}
-		_ = s.journal.j.AppendSubmit(h.ID(), body, deadlineMS)
+		if err := s.journal.j.AppendSubmit(h.ID(), body, deadlineMS); err != nil {
+			// Unjournaled work must not be acknowledged: a crash would lose
+			// it silently. Withdraw the job and let the client retry.
+			h.Cancel()
+			s.writeError(w, stubbyerr.WithKind(stubbyerr.KindUnavailable, "submit", "", err))
+			return
+		}
 	}
 	s.adopt(h, key)
 	writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})
