@@ -1,6 +1,7 @@
 package stubby_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/stubby-mr/stubby"
 	"github.com/stubby-mr/stubby/internal/gen"
@@ -173,6 +176,149 @@ func TestWireGoldens(t *testing.T) {
 			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("request-seed-%02d.golden", seed)), reqData)
 			checkGolden(t, filepath.Join("testdata", "wire", fmt.Sprintf("result-seed-%02d.golden", seed)), resData)
 		})
+	}
+	t.Run("statsz", testStatszGolden)
+	t.Run("events", testEventsGolden)
+	t.Run("result-robustness", testRobustResultGolden)
+}
+
+// goldenStats is a /statsz snapshot with all six sections present and every
+// counter distinct and non-zero, omitempty fields included.
+func goldenStats() *stubby.ServiceStats {
+	return &stubby.ServiceStats{
+		Status: "draining", Workers: 11, QueueDepth: 12, Queued: 13, Busy: 14,
+		EstimateCache: &stubby.EstimateCacheStats{Hits: 101, Misses: 102, Evictions: 103,
+			Entries: 104, Capacity: 105},
+		PlanStore: &stubby.PlanStoreStats{Hits: 201, MemHits: 202, DiskHits: 203, Misses: 204,
+			Computes: 205, Puts: 206, Evictions: 207, BytesWritten: 208, BytesRead: 209,
+			Errors: 210, Entries: 211, Segments: 212, Claims: 213, ClaimWaits: 214, ClaimHits: 215},
+		ReuseCatalog: &stubby.ReuseCatalogStats{Entries: 301, Puts: 302, Hits: 303, Misses: 304,
+			Compacted: 305, TornBytes: 306, BytesWritten: 307, Errors: 308, Expired: 309, Vanished: 310},
+		Journal: &stubby.JournalStats{Submits: 401, Transitions: 402, Recovered: 403,
+			Compacted: 404, Compactions: 405, TornBytes: 406, BytesWritten: 407, Errors: 408},
+		Cluster: &stubby.ClusterStats{Workers: 501, LiveWorkers: 502, Leases: 503,
+			Dispatches: 504, Redispatches: 505, Failovers: 506, SingleFlightHits: 507, Computes: 508},
+	}
+}
+
+// goldenRobustness is a robustness report whose per-sample makespans must
+// stay off the wire.
+func goldenRobustness() *stubby.Robustness {
+	return &stubby.Robustness{Samples: 4, Mean: 61.25, P50: 60.5, P95: 70.75, P99: 71.5,
+		Min: 50.25, Max: 72, FailedOut: 1, Makespans: []float64{50.25, 60.5, 62.25, 72}}
+}
+
+// summaryOnly is what a wire-decoded robustness report carries: the
+// summary statistics without the per-sample makespans.
+func summaryOnly(r *stubby.Robustness) *stubby.Robustness {
+	c := *r
+	c.Makespans = nil
+	return &c
+}
+
+// wireFixture serves fixed response bodies by route and returns a client
+// of it, for decoding golden documents through the public Client.
+func wireFixture(t *testing.T, bodies map[string][]byte) *stubby.Client {
+	t.Helper()
+	mux := http.NewServeMux()
+	for route, body := range bodies {
+		body := body
+		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(body)
+		})
+	}
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	client, err := stubby.NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client
+}
+
+// testStatszGolden pins the /statsz bytes and decodes them back through
+// Client.Stats.
+func testStatszGolden(t *testing.T) {
+	want := goldenStats()
+	data := stubby.EncodeStatszForTest(want)
+	checkGolden(t, filepath.Join("testdata", "wire", "statsz.golden"), data)
+	got, err := wireFixture(t, map[string][]byte{"GET /statsz": data}).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("statsz round trip:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// testEventsGolden pins one NDJSON line per event type and decodes the
+// stream back through RemoteJob.Events.
+func testEventsGolden(t *testing.T) {
+	stats := goldenStats()
+	events := []stubby.Event{
+		stubby.StateChangedEvent{Workflow: "wf", JobID: "job-7", State: stubby.StateRunning},
+		stubby.UnitStartedEvent{Workflow: "wf", Phase: "vertical", Unit: 2, Jobs: []string{"j1", "j2"}},
+		stubby.SubplanEnumeratedEvent{Workflow: "wf", Unit: 2, Desc: "pack j1+j2", Cost: 12.5},
+		stubby.BestCostImprovedEvent{Workflow: "wf", Unit: 2, Desc: "pack j1+j2", Cost: 11.25},
+		stubby.JobFinishedEvent{Workflow: "wf", Job: "j1", Start: 1.5, End: 9.75},
+		stubby.CacheReportEvent{Workflow: "wf", Stats: *stats.EstimateCache},
+		stubby.PlanStoreEvent{Workflow: "wf", Hit: true, Stats: *stats.PlanStore},
+		stubby.RobustnessEvent{Workflow: "wf", Report: goldenRobustness()},
+		stubby.ReuseReportEvent{Workflow: "wf", Reused: 3, Stats: *stats.ReuseCatalog},
+		stubby.StateChangedEvent{Workflow: "wf", JobID: "job-7", State: stubby.StateFailed,
+			Err: &stubby.Error{Kind: stubby.ErrKindInvalid, Op: "optimize", Workflow: "wf",
+				Job: "j2", Msg: "bad plan"}},
+	}
+	var data []byte
+	for _, ev := range events {
+		data = append(data, stubby.EncodeEventForTest(ev)...)
+	}
+	checkGolden(t, filepath.Join("testdata", "wire", "events.golden"), data)
+
+	client := wireFixture(t, map[string][]byte{"GET /v1/jobs/job-7/events": data})
+	ch, err := client.Job("job-7").Events(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []stubby.Event
+	for ev := range ch {
+		got = append(got, ev)
+	}
+	events[7] = stubby.RobustnessEvent{Workflow: "wf", Report: summaryOnly(goldenRobustness())}
+	if !reflect.DeepEqual(got, events) {
+		t.Errorf("event stream round trip:\n got %+v\nwant %+v", got, events)
+	}
+}
+
+// testRobustResultGolden pins a result document carrying a robustness
+// report and reused sub-plans, and decodes it back through
+// RemoteJob.Result.
+func testRobustResultGolden(t *testing.T) {
+	c := profiledGenCase(t, 1, gen.Options{MaxJobs: 4, Records: 120})
+	res := &stubby.Result{Plan: c.Workflow, EstimatedCost: 123.456, Duration: 12 * time.Millisecond,
+		WhatIfCalls: 42, WhatIfComputed: 7, FlowCards: 99,
+		Robustness: goldenRobustness(), ReusedSubplans: 2}
+	data, err := stubby.EncodeResultForTest(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "wire", "result-robustness.golden"), data)
+	if bytes.Contains(data, []byte("akespans")) {
+		t.Error("per-sample makespans leaked onto the wire")
+	}
+
+	got, err := wireFixture(t, map[string][]byte{"GET /v1/jobs/job-7/result": data}).
+		Job("job-7").Result(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fpOf(t, got.Plan) != fpOf(t, res.Plan) || got.EstimatedCost != res.EstimatedCost ||
+		got.Duration != res.Duration || got.WhatIfCalls != res.WhatIfCalls ||
+		got.WhatIfComputed != res.WhatIfComputed || got.FlowCards != res.FlowCards ||
+		got.ReusedSubplans != res.ReusedSubplans ||
+		!reflect.DeepEqual(got.Robustness, summaryOnly(res.Robustness)) {
+		t.Errorf("result round trip:\n got %+v\nwant %+v", got, res)
 	}
 }
 
