@@ -239,6 +239,44 @@ func TestJournalFailedAppendRejectsSubmit(t *testing.T) {
 	}
 }
 
+// TestJournalStoreHitWritesNothing: an acknowledged job has its submit
+// record and its terminal transition on disk, while a plan-store hit —
+// finished inside Submit, before it is acknowledged — has nothing to
+// recover and appends no records at all.
+func TestJournalStoreHitWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	f := newJournaledFixture(t, filepath.Join(dir, "store"), filepath.Join(dir, "journal"))
+	defer func() {
+		f.hs.Close()
+		f.journal.Close()
+	}()
+	wl := tinyWorkload(t, "IR")
+	req := stubby.OptimizeRequest{Workflow: wl.Workflow, Planner: "blocking", Cluster: wl.Cluster}
+
+	// The planner stays parked until after the acknowledgement, so the
+	// cold job cannot finish before its submit record is written.
+	cold, err := f.client.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(f.release)
+	waitRemoteState(t, f.client, cold.ID(), stubby.StateDone)
+	before, _ := f.srv.JournalStats()
+	if before.Submits != 1 || before.Transitions == 0 {
+		t.Fatalf("cold job journal = %+v, want its submit and terminal records", before)
+	}
+
+	warm, err := f.client.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRemoteState(t, f.client, warm.ID(), stubby.StateDone)
+	if after, _ := f.srv.JournalStats(); after != before {
+		t.Fatalf("plan-store hit appended journal records: %+v -> %+v", before, after)
+	}
+}
+
 // TestWireCancelRacesCompletion: Cancel issued concurrently with the
 // job's completion must land in exactly one consistent terminal state —
 // Done with a result, or Canceled with a typed error — on the wire and
@@ -793,7 +831,11 @@ func TestCrashDrill(t *testing.T) {
 	if st.Journal == nil {
 		t.Fatal("restarted server reports no journal in /statsz")
 	}
-	if st.Journal.Submits == 0 && st.Journal.Recovered == 0 {
+	// Plan-store hits finish before they are acknowledged and journal
+	// nothing, so a restarted server answering only hits appends no
+	// records; the first process's records then show up as compacted (or
+	// recovered) by the reopen.
+	if st.Journal.Submits == 0 && st.Journal.Recovered == 0 && st.Journal.Compacted == 0 {
 		t.Fatalf("journal saw no activity: %+v", st.Journal)
 	}
 }

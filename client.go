@@ -134,37 +134,21 @@ type ServiceStats struct {
 func (c *Client) Stats(ctx context.Context) (*ServiceStats, error) {
 	var st *ServiceStats
 	err := c.doRetry(ctx, http.MethodGet, "/statsz", nil, func(resp *http.Response) error {
-		var doc planio.StatszDoc
+		var doc statszDoc
 		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 			return stubbyerr.WithKind(stubbyerr.KindInternal, "stats", "", err)
 		}
 		st = &ServiceStats{
-			Status:     doc.Status,
-			Workers:    doc.Queue.Workers,
-			QueueDepth: doc.Queue.Depth,
-			Queued:     doc.Queue.Queued,
-			Busy:       doc.Queue.Busy,
-		}
-		if doc.EstCache != nil {
-			st.EstimateCache = &EstimateCacheStats{Hits: doc.EstCache.Hits,
-				Misses: doc.EstCache.Misses, Evictions: doc.EstCache.Evictions,
-				Entries: doc.EstCache.Entries, Capacity: doc.EstCache.Capacity}
-		}
-		if doc.PlanStore != nil {
-			stats := storeStatsFromDoc(doc.PlanStore)
-			st.PlanStore = &stats
-		}
-		if doc.ReuseCatalog != nil {
-			stats := reuseStatsFromDoc(doc.ReuseCatalog)
-			st.ReuseCatalog = &stats
-		}
-		if doc.Journal != nil {
-			stats := journalStatsFromDoc(doc.Journal)
-			st.Journal = &stats
-		}
-		if doc.Cluster != nil {
-			stats := clusterStatsFromDoc(*doc.Cluster)
-			st.Cluster = &stats
+			Status:        doc.Status,
+			Workers:       doc.Queue.Workers,
+			QueueDepth:    doc.Queue.Depth,
+			Queued:        doc.Queue.Queued,
+			Busy:          doc.Queue.Busy,
+			EstimateCache: doc.EstCache,
+			PlanStore:     doc.PlanStore,
+			ReuseCatalog:  doc.ReuseCatalog,
+			Journal:       doc.Journal,
+			Cluster:       doc.Cluster,
 		}
 		return nil
 	})
@@ -357,11 +341,11 @@ func (j *RemoteJob) pumpEvents(ctx context.Context, resp *http.Response, ch chan
 		if len(line) == 0 {
 			continue
 		}
-		var doc planio.EventDoc
+		var doc eventDoc
 		if err := json.Unmarshal(line, &doc); err != nil {
 			continue
 		}
-		ev, ok := eventFromDoc(&doc)
+		ev, ok := doc.typed()
 		if !ok {
 			continue
 		}
@@ -419,12 +403,12 @@ func (j *RemoteJob) drainStream(ctx context.Context, resp *http.Response, ch cha
 		if len(line) == 0 {
 			continue
 		}
-		var doc planio.EventDoc
+		var doc eventDoc
 		if err := json.Unmarshal(line, &doc); err != nil {
 			return lines, false
 		}
 		lines++
-		ev, ok := eventFromDoc(&doc)
+		ev, ok := doc.typed()
 		if !ok {
 			// Unknown event type from a newer server: skipped, but it still
 			// occupies a slot in the server's sequence, so it counts.
@@ -456,19 +440,8 @@ func (j *RemoteJob) Result(ctx context.Context) (*Result, error) {
 				// serve the identical document again.
 				return stubbyerr.WithKind(stubbyerr.KindUnavailable, "result", j.workflow, err)
 			}
-			doc, err := planio.DecodeResult(body)
-			if err != nil {
+			if res, err = decodeResult(body, nil); err != nil {
 				return stubbyerr.WithKind(stubbyerr.KindInternal, "result", j.workflow, err)
-			}
-			res = &Result{
-				Plan:           doc.Plan,
-				EstimatedCost:  doc.EstimatedCost,
-				Duration:       time.Duration(doc.DurationMS * float64(time.Millisecond)),
-				WhatIfCalls:    doc.WhatIfCalls,
-				WhatIfComputed: doc.WhatIfComputed,
-				FlowCards:      doc.FlowCards,
-				Robustness:     robustnessFromDoc(doc.Robustness),
-				ReusedSubplans: doc.ReusedSubplans,
 			}
 			return nil
 		})

@@ -2,10 +2,9 @@ package stubby
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-
-	"github.com/stubby-mr/stubby/internal/planio"
-	"github.com/stubby-mr/stubby/internal/wf"
+	"fmt"
 )
 
 // Test-only bridges from the external test package to the server's wire
@@ -16,27 +15,16 @@ import (
 // EncodeStatszForTest renders st as the /statsz document handleStatsz
 // writes for a server whose subsystems report exactly these counters.
 func EncodeStatszForTest(st *ServiceStats) []byte {
-	doc := &planio.StatszDoc{
+	return encodeLine(&statszDoc{
 		Status: st.Status,
-		Queue: planio.QueueStatsDoc{Workers: st.Workers, Depth: st.QueueDepth,
+		Queue: queueDoc{Workers: st.Workers, Depth: st.QueueDepth,
 			Queued: st.Queued, Busy: st.Busy},
-	}
-	if st.EstimateCache != nil {
-		doc.EstCache = cacheStatsDoc(*st.EstimateCache)
-	}
-	if st.PlanStore != nil {
-		doc.PlanStore = storeStatsDoc(*st.PlanStore)
-	}
-	if st.ReuseCatalog != nil {
-		doc.ReuseCatalog = reuseStatsDoc(*st.ReuseCatalog)
-	}
-	if st.Journal != nil {
-		doc.Journal = journalStatsDoc(*st.Journal)
-	}
-	if st.Cluster != nil {
-		doc.Cluster = clusterStatsDoc(*st.Cluster)
-	}
-	return encodeLine(doc)
+		EstCache:     st.EstimateCache,
+		PlanStore:    st.PlanStore,
+		ReuseCatalog: st.ReuseCatalog,
+		Journal:      st.Journal,
+		Cluster:      st.Cluster,
+	})
 }
 
 // EncodeEventForTest renders ev as the NDJSON line handleEvents streams.
@@ -44,19 +32,7 @@ func EncodeEventForTest(ev Event) []byte { return encodeLine(eventToDoc(ev)) }
 
 // EncodeResultForTest renders res as the result document handleResult
 // serves.
-func EncodeResultForTest(res *Result) ([]byte, error) {
-	return planio.EncodeResult(&planio.Result{
-		Plan:           res.Plan,
-		EstimatedCost:  res.EstimatedCost,
-		DurationMS:     float64(res.Duration.Milliseconds()),
-		WhatIfCalls:    res.WhatIfCalls,
-		WhatIfComputed: res.WhatIfComputed,
-		FlowCards:      res.FlowCards,
-		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
-		Robustness:     robustnessDoc(res.Robustness),
-		ReusedSubplans: res.ReusedSubplans,
-	})
-}
+func EncodeResultForTest(res *Result) ([]byte, error) { return encodeResult(res) }
 
 // encodeLine encodes v the way writeJSON and handleEvents do.
 func encodeLine(v any) []byte {
@@ -65,4 +41,16 @@ func encodeLine(v any) []byte {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// JobResultForTest waits for the server-side job id and returns its
+// in-process Result, the reference a wire-decoded Result is compared with.
+func (s *Server) JobResultForTest(ctx context.Context, id string) (*Result, error) {
+	s.mu.RLock()
+	h, ok := s.jobs[id]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown job %q", id)
+	}
+	return h.Wait(ctx)
 }

@@ -72,33 +72,34 @@ type Entry struct {
 }
 
 // Stats is a point-in-time snapshot of catalog activity. Counters are
-// cumulative since Open.
+// cumulative since Open. Its JSON form is the reusecatalog section of
+// /statsz and the reuseReport event.
 type Stats struct {
 	// Entries is the current number of distinct fingerprints held.
-	Entries int
+	Entries int `json:"entries"`
 	// Puts counts entries published (including overwrites of a fingerprint).
-	Puts uint64
+	Puts uint64 `json:"puts"`
 	// Hits / Misses count Lookup outcomes; a CRC or decode failure on read
 	// counts as a miss (and an Error).
-	Hits   uint64
-	Misses uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
 	// Compacted is how many stale records (duplicate fingerprints) the
 	// reopening compaction dropped.
-	Compacted int
+	Compacted int `json:"compacted"`
+	// TornBytes is how many trailing bytes the reopening scan discarded as a
+	// torn or corrupt tail.
+	TornBytes int64 `json:"tornBytes"`
+	// BytesWritten counts record bytes appended (headers included).
+	BytesWritten uint64 `json:"bytesWritten"`
+	// Errors counts append/sync/verify failures; lookups keep working when
+	// it rises, falling back to recomputation.
+	Errors uint64 `json:"errors"`
 	// Expired is how many entries the reopening scan dropped for exceeding
 	// the TTL (WithTTL); Vanished is how many it dropped because their
 	// stored dataset location no longer exists (WithLocationCheck). Both
 	// are eviction outcomes, not errors.
-	Expired  int
-	Vanished int
-	// TornBytes is how many trailing bytes the reopening scan discarded as a
-	// torn or corrupt tail.
-	TornBytes int64
-	// BytesWritten counts record bytes appended (headers included).
-	BytesWritten uint64
-	// Errors counts append/sync/verify failures; lookups keep working when
-	// it rises, falling back to recomputation.
-	Errors uint64
+	Expired  int `json:"expired,omitempty"`
+	Vanished int `json:"vanished,omitempty"`
 }
 
 // HitRate returns Hits over total lookups, or 0 when none happened.

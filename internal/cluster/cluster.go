@@ -247,14 +247,36 @@ func (c *Coordinator) Workers() []planio.WorkerDoc {
 	return docs
 }
 
-// Stats snapshots the cluster counters for /statsz. SingleFlightHits and
-// Computes are cluster-wide sums of the workers' last-reported store
-// counters.
-func (c *Coordinator) Stats() planio.ClusterStatsDoc {
+// Stats snapshots a coordinator's view of the cluster: membership, live
+// leases, the dispatch/failover counters, and the cluster-wide
+// single-flight totals summed from worker heartbeats. Its JSON form is the
+// cluster section of a coordinator's /statsz.
+type Stats struct {
+	// Workers is total registered; LiveWorkers those holding a lease.
+	Workers     int `json:"workers"`
+	LiveWorkers int `json:"liveWorkers"`
+	// Leases is the number of in-flight dispatches on live workers.
+	Leases int `json:"leases"`
+	// Dispatches counts first dispatch attempts; Redispatches counts
+	// attempts re-routed off a dead or expired worker; Failovers counts
+	// jobs that found no live worker and ran on the coordinator itself.
+	Dispatches   uint64 `json:"dispatches"`
+	Redispatches uint64 `json:"redispatches"`
+	Failovers    uint64 `json:"failovers"`
+	// SingleFlightHits sums the workers' last-reported cross-replica
+	// single-flight hits (optimizations answered by another replica's
+	// concurrent computation); Computes sums the optimizations workers
+	// actually ran.
+	SingleFlightHits uint64 `json:"singleFlightHits"`
+	Computes         uint64 `json:"computes"`
+}
+
+// Stats snapshots the cluster counters.
+func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	doc := planio.ClusterStatsDoc{
+	st := Stats{
 		Workers:      len(c.workers),
 		Dispatches:   c.dispatches,
 		Redispatches: c.redispatches,
@@ -262,13 +284,13 @@ func (c *Coordinator) Stats() planio.ClusterStatsDoc {
 	}
 	for _, w := range c.workers {
 		if c.liveLocked(w, now) {
-			doc.LiveWorkers++
-			doc.Leases += w.leases
+			st.LiveWorkers++
+			st.Leases += w.leases
 		}
-		doc.SingleFlightHits += w.claimHits
-		doc.Computes += w.computes
+		st.SingleFlightHits += w.claimHits
+		st.Computes += w.computes
 	}
-	return doc
+	return st
 }
 
 // Dispatch runs one encoded optimize request (a planio request document)

@@ -14,33 +14,34 @@ const MB = 1e6
 
 // Cluster describes the simulated cluster and the cost-model calibration.
 // Defaults mirror the paper's testbed shape: 50 worker nodes, each running
-// at most 3 map and 2 reduce tasks concurrently (Section 7).
+// at most 3 map and 2 reduce tasks concurrently (Section 7). Its JSON form
+// is the cluster of an optimize-request document.
 type Cluster struct {
 	// Nodes is the number of worker nodes.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// MapSlotsPerNode and ReduceSlotsPerNode bound concurrent tasks.
-	MapSlotsPerNode    int
-	ReduceSlotsPerNode int
+	MapSlotsPerNode    int `json:"mapSlotsPerNode"`
+	ReduceSlotsPerNode int `json:"reduceSlotsPerNode"`
 	// DiskMBps is sequential local-disk bandwidth per task.
-	DiskMBps float64
+	DiskMBps float64 `json:"diskMBps"`
 	// NetMBps is shuffle network bandwidth per reduce task.
-	NetMBps float64
+	NetMBps float64 `json:"netMBps"`
 	// TaskSetupSec is the fixed cost of launching one task (JVM start,
 	// scheduling, commit) — the overhead vertical packing eliminates when
 	// it removes whole task waves.
-	TaskSetupSec float64
+	TaskSetupSec float64 `json:"taskSetupSec"`
 	// SortCPUPerRecord calibrates comparison cost: sorting n records costs
 	// n·log2(n)·SortCPUPerRecord seconds.
-	SortCPUPerRecord float64
+	SortCPUPerRecord float64 `json:"sortCPUPerRecord"`
 	// CompressRatio is compressed size over uncompressed size.
-	CompressRatio float64
+	CompressRatio float64 `json:"compressRatio"`
 	// CompressCPUSecPerMB is the CPU cost to (de)compress one MB.
-	CompressCPUSecPerMB float64
+	CompressCPUSecPerMB float64 `json:"compressCPUSecPerMB"`
 	// VirtualScale is the data-scale substitution: each materialized
 	// record stands for VirtualScale real records in all cost accounting,
 	// letting laptop-sized in-memory data exercise the cost dynamics of
 	// the paper's multi-hundred-GB datasets.
-	VirtualScale float64
+	VirtualScale float64 `json:"virtualScale"`
 }
 
 // DefaultCluster returns the evaluation cluster: 50 nodes x (3 map, 2

@@ -2,10 +2,12 @@ package planio
 
 // wire.go defines the versioned wire schema of the stubby job service on
 // top of the plan documents: optimize requests and results (which embed a
-// plan document), progress events, job status, and the structured error
-// envelope. The public stubby.Client and the stubbyd server both speak
-// exactly these documents, and every encoder here is deterministic so wire
-// bytes can be golden-tested.
+// plan document), job status, and the structured error envelope. The
+// public stubby.Client and the stubbyd server both speak exactly these
+// documents, and every encoder here is deterministic so wire bytes can be
+// golden-tested. Counter sets (/statsz sections, event payloads) are the
+// owning packages' stats types, which carry their own JSON tags; the root
+// package assembles them into the /statsz and event-stream documents.
 
 import (
 	"bytes"
@@ -16,6 +18,7 @@ import (
 	"github.com/stubby-mr/stubby/internal/mrsim"
 	"github.com/stubby-mr/stubby/internal/stubbyerr"
 	"github.com/stubby-mr/stubby/internal/wf"
+	"github.com/stubby-mr/stubby/internal/whatif"
 )
 
 // Wire format identifiers. Like the plan documents, requests and results
@@ -64,9 +67,10 @@ type Result struct {
 	// optimized.
 	Fingerprint string
 	// Robustness carries the chosen plan's Monte-Carlo makespan distribution
-	// under the serving session's fault model. Nil when the server plans
+	// under the serving session's fault model (summary statistics only; the
+	// per-sample makespans stay off the wire). Nil when the server plans
 	// without a fault model (the common case).
-	Robustness *RobustnessDoc
+	Robustness *whatif.Robustness
 	// ReusedSubplans counts rooted sub-DAGs the serving session's reuse
 	// catalog replaced with scans of stored results (zero without a
 	// catalog; the field is omitted from the wire bytes then, keeping old
@@ -74,91 +78,28 @@ type Result struct {
 	ReusedSubplans int
 }
 
-// RobustnessDoc is the wire form of a robustness report: summary statistics
-// of the plan's makespan distribution across perturbation seeds.
-type RobustnessDoc struct {
-	Samples   int     `json:"samples"`
-	Mean      float64 `json:"mean"`
-	P50       float64 `json:"p50"`
-	P95       float64 `json:"p95"`
-	P99       float64 `json:"p99"`
-	Min       float64 `json:"min"`
-	Max       float64 `json:"max"`
-	FailedOut int     `json:"failedOut,omitempty"`
-}
-
-// clusterDoc mirrors mrsim.Cluster field by field.
-type clusterDoc struct {
-	Nodes               int     `json:"nodes"`
-	MapSlotsPerNode     int     `json:"mapSlotsPerNode"`
-	ReduceSlotsPerNode  int     `json:"reduceSlotsPerNode"`
-	DiskMBps            float64 `json:"diskMBps"`
-	NetMBps             float64 `json:"netMBps"`
-	TaskSetupSec        float64 `json:"taskSetupSec"`
-	SortCPUPerRecord    float64 `json:"sortCPUPerRecord"`
-	CompressRatio       float64 `json:"compressRatio"`
-	CompressCPUSecPerMB float64 `json:"compressCPUSecPerMB"`
-	VirtualScale        float64 `json:"virtualScale"`
-}
-
-func encodeCluster(c *mrsim.Cluster) *clusterDoc {
-	if c == nil {
-		return nil
-	}
-	return &clusterDoc{
-		Nodes:               c.Nodes,
-		MapSlotsPerNode:     c.MapSlotsPerNode,
-		ReduceSlotsPerNode:  c.ReduceSlotsPerNode,
-		DiskMBps:            c.DiskMBps,
-		NetMBps:             c.NetMBps,
-		TaskSetupSec:        c.TaskSetupSec,
-		SortCPUPerRecord:    c.SortCPUPerRecord,
-		CompressRatio:       c.CompressRatio,
-		CompressCPUSecPerMB: c.CompressCPUSecPerMB,
-		VirtualScale:        c.VirtualScale,
-	}
-}
-
-func decodeCluster(d *clusterDoc) *mrsim.Cluster {
-	if d == nil {
-		return nil
-	}
-	return &mrsim.Cluster{
-		Nodes:               d.Nodes,
-		MapSlotsPerNode:     d.MapSlotsPerNode,
-		ReduceSlotsPerNode:  d.ReduceSlotsPerNode,
-		DiskMBps:            d.DiskMBps,
-		NetMBps:             d.NetMBps,
-		TaskSetupSec:        d.TaskSetupSec,
-		SortCPUPerRecord:    d.SortCPUPerRecord,
-		CompressRatio:       d.CompressRatio,
-		CompressCPUSecPerMB: d.CompressCPUSecPerMB,
-		VirtualScale:        d.VirtualScale,
-	}
-}
-
 type requestDoc struct {
-	Format             string      `json:"format"`
-	Version            int         `json:"version"`
-	Planner            string      `json:"planner,omitempty"`
-	Seed               int64       `json:"seed,omitempty"`
-	DisableIncremental bool        `json:"disableIncremental,omitempty"`
-	Cluster            *clusterDoc `json:"cluster,omitempty"`
-	Plan               *document   `json:"plan"`
+	Format             string         `json:"format"`
+	Version            int            `json:"version"`
+	Planner            string         `json:"planner,omitempty"`
+	Seed               int64          `json:"seed,omitempty"`
+	DisableIncremental bool           `json:"disableIncremental,omitempty"`
+	Cluster            *mrsim.Cluster `json:"cluster,omitempty"`
+	Plan               *document      `json:"plan"`
 }
 
 type resultDoc struct {
-	Format         string         `json:"format"`
-	Version        int            `json:"version"`
-	EstimatedCost  float64        `json:"estimatedCost"`
-	DurationMS     float64        `json:"durationMS"`
-	WhatIfCalls    uint64         `json:"whatIfCalls"`
-	WhatIfComputed uint64         `json:"whatIfComputed"`
-	FlowCards      uint64         `json:"flowCards"`
-	Fingerprint    string         `json:"fingerprint,omitempty"`
-	Robustness     *RobustnessDoc `json:"robustness,omitempty"`
-	ReusedSubplans int            `json:"reusedSubplans,omitempty"`
-	Plan           *document      `json:"plan"`
+	Format         string             `json:"format"`
+	Version        int                `json:"version"`
+	EstimatedCost  float64            `json:"estimatedCost"`
+	DurationMS     float64            `json:"durationMS"`
+	WhatIfCalls    uint64             `json:"whatIfCalls"`
+	WhatIfComputed uint64             `json:"whatIfComputed"`
+	FlowCards      uint64             `json:"flowCards"`
+	Fingerprint    string             `json:"fingerprint,omitempty"`
+	Robustness     *whatif.Robustness `json:"robustness,omitempty"`
+	ReusedSubplans int                `json:"reusedSubplans,omitempty"`
+	Plan           *document          `json:"plan"`
 }
 
 // EncodeRequest serializes the request to deterministic indented JSON.
@@ -176,7 +117,7 @@ func EncodeRequest(r *Request) ([]byte, error) {
 		Planner:            r.Planner,
 		Seed:               r.Seed,
 		DisableIncremental: r.DisableIncremental,
-		Cluster:            encodeCluster(r.Cluster),
+		Cluster:            r.Cluster,
 		Plan:               plan,
 	}
 	return json.MarshalIndent(doc, "", "  ")
@@ -210,7 +151,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 		Planner:            doc.Planner,
 		Seed:               doc.Seed,
 		DisableIncremental: doc.DisableIncremental,
-		Cluster:            decodeCluster(doc.Cluster),
+		Cluster:            doc.Cluster,
 		Plan:               plan,
 	}, nil
 }
@@ -244,42 +185,7 @@ func EncodeResult(r *Result) ([]byte, error) {
 // and, when the document carries a fingerprint, verifies the decoded plan
 // reproduces it — a free end-to-end integrity check on every wire result.
 func DecodeResult(data []byte) (*Result, error) {
-	var doc resultDoc
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("planio: parse result: %w", err)
-	}
-	if doc.Format != ResultFormatName {
-		return nil, fmt.Errorf("planio: not a %s document (format %q)", ResultFormatName, doc.Format)
-	}
-	if doc.Version != ResultFormatVersion {
-		return nil, fmt.Errorf("planio: unsupported result version %d (want %d)", doc.Version, ResultFormatVersion)
-	}
-	if doc.Plan == nil {
-		return nil, errors.New("planio: result without a plan")
-	}
-	plan, err := decodeDocument(doc.Plan, NewRegistry(), true)
-	if err != nil {
-		return nil, err
-	}
-	if doc.Fingerprint != "" {
-		if got := wf.FingerprintWorkflow(plan).String(); got != doc.Fingerprint {
-			return nil, fmt.Errorf("planio: result plan fingerprint %s does not match document fingerprint %s",
-				got, doc.Fingerprint)
-		}
-	}
-	return &Result{
-		Plan:           plan,
-		EstimatedCost:  doc.EstimatedCost,
-		DurationMS:     doc.DurationMS,
-		WhatIfCalls:    doc.WhatIfCalls,
-		WhatIfComputed: doc.WhatIfComputed,
-		FlowCards:      doc.FlowCards,
-		Fingerprint:    doc.Fingerprint,
-		Robustness:     doc.Robustness,
-		ReusedSubplans: doc.ReusedSubplans,
-	}, nil
+	return decodeResult(data, NewRegistry(), true)
 }
 
 // DecodeResultBound parses an optimize-result document like DecodeResult
@@ -292,6 +198,10 @@ func DecodeResultBound(data []byte, reg *Registry) (*Result, error) {
 	if reg == nil {
 		reg = NewRegistry()
 	}
+	return decodeResult(data, reg, false)
+}
+
+func decodeResult(data []byte, reg *Registry, structureOnly bool) (*Result, error) {
 	var doc resultDoc
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -307,7 +217,7 @@ func DecodeResultBound(data []byte, reg *Registry) (*Result, error) {
 	if doc.Plan == nil {
 		return nil, errors.New("planio: result without a plan")
 	}
-	plan, err := decodeDocument(doc.Plan, reg, false)
+	plan, err := decodeDocument(doc.Plan, reg, structureOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -383,87 +293,6 @@ type ErrorEnvelope struct {
 	Error *ErrorDoc `json:"error"`
 }
 
-// Progress event type tags (EventDoc.Type).
-const (
-	EventUnitStarted       = "unitStarted"
-	EventSubplanEnumerated = "subplanEnumerated"
-	EventBestCostImproved  = "bestCostImproved"
-	EventJobFinished       = "jobFinished"
-	EventCacheReport       = "cacheReport"
-	EventStateChanged      = "stateChanged"
-	EventStoreReport       = "storeReport"
-	EventRobustness        = "robustness"
-	EventReuseReport       = "reuseReport"
-)
-
-// CacheStatsDoc is the wire form of the estimate cache's counters.
-type CacheStatsDoc struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-}
-
-// StoreStatsDoc is the wire form of the plan store's counters.
-type StoreStatsDoc struct {
-	Hits         uint64 `json:"hits"`
-	MemHits      uint64 `json:"memHits"`
-	DiskHits     uint64 `json:"diskHits"`
-	Misses       uint64 `json:"misses"`
-	Computes     uint64 `json:"computes"`
-	Puts         uint64 `json:"puts"`
-	Evictions    uint64 `json:"evictions"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	BytesRead    uint64 `json:"bytesRead"`
-	Errors       uint64 `json:"errors"`
-	Entries      int    `json:"entries"`
-	Segments     int    `json:"segments"`
-	Claims       uint64 `json:"claims,omitempty"`
-	ClaimWaits   uint64 `json:"claimWaits,omitempty"`
-	ClaimHits    uint64 `json:"claimHits,omitempty"`
-}
-
-// ReuseStatsDoc is the wire form of the sub-plan reuse catalog's counters.
-type ReuseStatsDoc struct {
-	Entries      int    `json:"entries"`
-	Puts         uint64 `json:"puts"`
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Compacted    int    `json:"compacted"`
-	TornBytes    int64  `json:"tornBytes"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	Errors       uint64 `json:"errors"`
-	Expired      int    `json:"expired,omitempty"`
-	Vanished     int    `json:"vanished,omitempty"`
-}
-
-// EventDoc is the wire form of one progress event: a closed set of type
-// tags over a flat field union (NDJSON-friendly — one compact object per
-// stream line). Unknown types are skipped by clients, so the stream can
-// grow new event kinds without breaking old readers.
-type EventDoc struct {
-	Type       string         `json:"type"`
-	Workflow   string         `json:"workflow,omitempty"`
-	JobID      string         `json:"jobId,omitempty"`
-	Phase      string         `json:"phase,omitempty"`
-	Unit       int            `json:"unit,omitempty"`
-	Jobs       []string       `json:"jobs,omitempty"`
-	Desc       string         `json:"desc,omitempty"`
-	Cost       float64        `json:"cost,omitempty"`
-	Job        string         `json:"job,omitempty"`
-	Start      float64        `json:"start,omitempty"`
-	End        float64        `json:"end,omitempty"`
-	State      string         `json:"state,omitempty"`
-	Error      *ErrorDoc      `json:"error,omitempty"`
-	Cache      *CacheStatsDoc `json:"cache,omitempty"`
-	Hit        bool           `json:"hit,omitempty"`
-	Store      *StoreStatsDoc `json:"store,omitempty"`
-	Robustness *RobustnessDoc `json:"robustness,omitempty"`
-	Reused     int            `json:"reused,omitempty"`
-	Reuse      *ReuseStatsDoc `json:"reuse,omitempty"`
-}
-
 // StatusDoc is the wire form of a job's status: lifecycle state, the
 // progress snapshot, and — for failed or canceled jobs — the structured
 // error.
@@ -482,38 +311,4 @@ type StatusDoc struct {
 type SubmitResponse struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-}
-
-// QueueStatsDoc describes the job queue's occupancy.
-type QueueStatsDoc struct {
-	Workers int `json:"workers"`
-	Depth   int `json:"depth"`
-	Queued  int `json:"queued"`
-	Busy    int `json:"busy"`
-}
-
-// JournalStatsDoc is the wire form of the job journal's counters.
-type JournalStatsDoc struct {
-	Submits      uint64 `json:"submits"`
-	Transitions  uint64 `json:"transitions"`
-	Recovered    int    `json:"recovered"`
-	Compacted    int    `json:"compacted"`
-	Compactions  uint64 `json:"compactions,omitempty"`
-	TornBytes    int64  `json:"tornBytes"`
-	BytesWritten uint64 `json:"bytesWritten"`
-	Errors       uint64 `json:"errors"`
-}
-
-// StatszDoc is the wire form of the /statsz endpoint: server status plus
-// the counters of every subsystem a serving session carries. EstCache,
-// PlanStore, ReuseCatalog, and Journal are nil when the session runs
-// without them.
-type StatszDoc struct {
-	Status       string           `json:"status"`
-	Queue        QueueStatsDoc    `json:"queue"`
-	EstCache     *CacheStatsDoc   `json:"estcache,omitempty"`
-	PlanStore    *StoreStatsDoc   `json:"planstore,omitempty"`
-	ReuseCatalog *ReuseStatsDoc   `json:"reusecatalog,omitempty"`
-	Journal      *JournalStatsDoc `json:"journal,omitempty"`
-	Cluster      *ClusterStatsDoc `json:"cluster,omitempty"`
 }

@@ -106,45 +106,46 @@ func (a Address) key() (k [16]byte) {
 func (a Address) String() string { return fmt.Sprintf("%016x%016x", a[0], a[1]) }
 
 // Stats is a point-in-time snapshot of store activity. All counters are
-// cumulative since Open.
+// cumulative since Open. Its JSON form is the planstore section of /statsz
+// and the storeReport event.
 type Stats struct {
 	// Hits counts lookups answered without running compute: memory hits,
 	// disk hits, and single-flight waits on another caller's computation.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// MemHits / DiskHits split Hits by where the bytes came from (waits on
 	// an in-flight computation count toward Hits only).
-	MemHits  uint64
-	DiskHits uint64
+	MemHits  uint64 `json:"memHits"`
+	DiskHits uint64 `json:"diskHits"`
 	// Misses counts lookups that found nothing anywhere.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Computes counts GetOrCompute calls that actually ran compute — the
 	// number of optimizations the whole process paid for.
-	Computes uint64
+	Computes uint64 `json:"computes"`
 	// Puts counts records appended to this writer's segment.
-	Puts uint64
+	Puts uint64 `json:"puts"`
 	// Evictions counts in-memory LRU evictions (disk entries are never
 	// evicted).
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// BytesWritten / BytesRead count record payload traffic to/from disk.
-	BytesWritten uint64
-	BytesRead    uint64
+	BytesWritten uint64 `json:"bytesWritten"`
+	BytesRead    uint64 `json:"bytesRead"`
 	// Errors counts background persistence failures (a failed append or
 	// index publish); reads and computes still succeed when it rises.
-	Errors uint64
+	Errors uint64 `json:"errors"`
+	// Entries is the number of distinct addresses known (memory + disk).
+	Entries int `json:"entries"`
+	// Segments is the number of segment files in the directory.
+	Segments int `json:"segments"`
 	// Claims counts cross-process claims this store acquired — the times it
 	// became the cluster-wide computing replica for an address.
-	Claims uint64
+	Claims uint64 `json:"claims,omitempty"`
 	// ClaimWaits counts GetOrCompute calls that found another replica's
 	// live claim and waited on it instead of computing.
-	ClaimWaits uint64
+	ClaimWaits uint64 `json:"claimWaits,omitempty"`
 	// ClaimHits counts waits answered by another replica's publish — the
 	// cross-replica single-flight hits: optimizations this replica was
 	// about to run that another replica's concurrent computation covered.
-	ClaimHits uint64
-	// Entries is the number of distinct addresses known (memory + disk).
-	Entries int
-	// Segments is the number of segment files in the directory.
-	Segments int
+	ClaimHits uint64 `json:"claimHits,omitempty"`
 }
 
 // HitRate returns Hits over (Hits+Misses) in [0, 1] (zero when empty).

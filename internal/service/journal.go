@@ -74,27 +74,28 @@ type IncompleteJob struct {
 }
 
 // JournalStats is a point-in-time snapshot of journal activity. Counters
-// are cumulative since Open.
+// are cumulative since Open. Its JSON form is the journal section of
+// /statsz.
 type JournalStats struct {
 	// Submits / Transitions count records appended by kind.
-	Submits     uint64
-	Transitions uint64
+	Submits     uint64 `json:"submits"`
+	Transitions uint64 `json:"transitions"`
 	// Recovered is how many incomplete jobs the reopening scan yielded.
-	Recovered int
+	Recovered int `json:"recovered"`
 	// Compacted is how many stale records (of already-terminal jobs) the
 	// reopening compaction dropped.
-	Compacted int
+	Compacted int `json:"compacted"`
 	// Compactions counts live (threshold-triggered) compactions performed
 	// since Open; the reopening compaction is not included.
-	Compactions uint64
+	Compactions uint64 `json:"compactions,omitempty"`
 	// TornBytes is how many trailing bytes the reopening scan discarded as
 	// a torn or corrupt tail.
-	TornBytes int64
+	TornBytes int64 `json:"tornBytes"`
 	// BytesWritten counts record bytes appended (headers included).
-	BytesWritten uint64
+	BytesWritten uint64 `json:"bytesWritten"`
 	// Errors counts append/sync failures; the service keeps running when
 	// it rises, with correspondingly weaker crash-recovery guarantees.
-	Errors uint64
+	Errors uint64 `json:"errors"`
 }
 
 // Journal is a single-writer durable job journal. All methods are safe

@@ -328,7 +328,7 @@ func TestBrokerSubscribeFromLive(t *testing.T) {
 }
 
 func TestJobDeadline(t *testing.T) {
-	j := NewJobWithDeadline("job-1", time.Now().Add(10*time.Millisecond), func(ctx context.Context) (any, error) {
+	j := NewJobWithDeadline("job-1", time.Now().Add(10*time.Millisecond), nil, func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})

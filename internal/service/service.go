@@ -177,9 +177,10 @@ func (b *Broker) SubscribeFrom(ctx context.Context, from int) <-chan any {
 // cancellation scope, and an event broker. All methods are safe for
 // concurrent use.
 type Job struct {
-	id     string
-	run    func(context.Context) (any, error)
-	broker *Broker
+	id           string
+	run          func(context.Context) (any, error)
+	onTransition func(id string, s State)
+	broker       *Broker
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -196,14 +197,18 @@ type Job struct {
 // independent of the submitter's: it lives until the job finishes or
 // Cancel fires.
 func NewJob(id string, run func(context.Context) (any, error)) *Job {
-	return NewJobWithDeadline(id, time.Time{}, run)
+	return NewJobWithDeadline(id, time.Time{}, nil, run)
 }
 
 // NewJobWithDeadline is NewJob with an absolute execution deadline (zero =
-// none): the job's context expires at the deadline, so a submission whose
-// client propagated its deadline over the wire fails with a deadline error
-// instead of burning a worker past the point anyone is waiting.
-func NewJobWithDeadline(id string, deadline time.Time, run func(context.Context) (any, error)) *Job {
+// none) and an optional transition hook (nil = none). The job's context
+// expires at the deadline, so a submission whose client propagated its
+// deadline over the wire fails with a deadline error instead of burning a
+// worker past the point anyone is waiting. onTransition is called on every
+// transition out of Queued inside the state change, before the new state
+// is observable through State, Result or the event stream: a hook that
+// persists the transition makes it durable before anyone can see it.
+func NewJobWithDeadline(id string, deadline time.Time, onTransition func(id string, s State), run func(context.Context) (any, error)) *Job {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if deadline.IsZero() {
@@ -212,13 +217,14 @@ func NewJobWithDeadline(id string, deadline time.Time, run func(context.Context)
 		ctx, cancel = context.WithDeadline(context.Background(), deadline)
 	}
 	j := &Job{
-		id:     id,
-		run:    run,
-		broker: NewBroker(),
-		ctx:    ctx,
-		cancel: cancel,
-		state:  Queued,
-		done:   make(chan struct{}),
+		id:           id,
+		run:          run,
+		onTransition: onTransition,
+		broker:       NewBroker(),
+		ctx:          ctx,
+		cancel:       cancel,
+		state:        Queued,
+		done:         make(chan struct{}),
 	}
 	j.broker.Publish(StateChange{State: Queued})
 	return j
@@ -300,7 +306,7 @@ func (j *Job) Finish(res any) bool {
 	if j.state != Queued {
 		return false
 	}
-	j.state = Running
+	j.setStateLocked(Running)
 	j.broker.Publish(StateChange{State: Running})
 	j.finishLocked(Done, res, nil)
 	return true
@@ -314,7 +320,7 @@ func (j *Job) Execute() {
 		j.mu.Unlock()
 		return
 	}
-	j.state = Running
+	j.setStateLocked(Running)
 	j.mu.Unlock()
 	j.broker.Publish(StateChange{State: Running})
 
@@ -335,9 +341,18 @@ func (j *Job) Execute() {
 	}
 }
 
+// setStateLocked runs the transition hook, then moves the job to s.
+// Callers hold j.mu.
+func (j *Job) setStateLocked(s State) {
+	if j.onTransition != nil {
+		j.onTransition(j.id, s)
+	}
+	j.state = s
+}
+
 // finishLocked moves the job to a terminal state. Callers hold j.mu.
 func (j *Job) finishLocked(s State, res any, err error) {
-	j.state = s
+	j.setStateLocked(s)
 	j.result = res
 	j.err = err
 	j.cancel() // release the context's resources in every terminal path

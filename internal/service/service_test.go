@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +136,42 @@ func TestJobCancelWhileRunning(t *testing.T) {
 	}
 	if got := j.State(); got != Canceled {
 		t.Fatalf("state = %v, want canceled", got)
+	}
+}
+
+// TestJobTransitionHook: the transition hook sees every transition out of
+// Queued, in order, while the job still reports the old state and before
+// the new one is published to the event stream.
+func TestJobTransitionHook(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drive func(j *Job)
+		want  []State
+	}{
+		{"execute", func(j *Job) { j.Execute() }, []State{Running, Done}},
+		{"finish", func(j *Job) { j.Finish(7) }, []State{Running, Done}},
+		{"cancel queued", func(j *Job) { j.Cancel() }, []State{Canceled}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var j *Job
+			var got []State
+			hook := func(id string, s State) {
+				if id != "job-1" {
+					t.Errorf("hook id = %q", id)
+				}
+				if j.state == s || j.broker.Len() != len(got)+1 {
+					t.Errorf("%v observable before its hook returned (state %v, %d events)",
+						s, j.state, j.broker.Len())
+				}
+				got = append(got, s)
+			}
+			j = NewJobWithDeadline("job-1", time.Time{}, hook,
+				func(context.Context) (any, error) { return 7, nil })
+			tc.drive(j)
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("hook saw %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 

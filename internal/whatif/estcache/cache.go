@@ -37,20 +37,21 @@ type Key struct {
 	Cluster uint64
 }
 
-// Stats is a point-in-time snapshot of cache effectiveness counters.
+// Stats is a point-in-time snapshot of cache effectiveness counters. Its
+// JSON form is the estcache section of /statsz and the cacheReport event.
 type Stats struct {
 	// Hits counts lookups answered from the cache, including lookups that
 	// waited on another caller's in-flight computation instead of starting
 	// their own.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts lookups that had to run the estimator.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Evictions counts entries dropped by the LRU bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Entries is the current number of cached estimates.
-	Entries int
+	Entries int `json:"entries"`
 	// Capacity is the maximum number of cached estimates.
-	Capacity int
+	Capacity int `json:"capacity"`
 }
 
 // Lookups returns the total number of cache consultations.

@@ -30,17 +30,24 @@ type RobustnessOptions struct {
 // Robustness is a plan's makespan distribution under perturbation: the
 // flow layer runs once and the scheduling layer is replayed across N
 // fault seeds, so the whole report costs N cheap schedule replays, not N
-// estimates.
+// estimates. Its JSON form, the summary statistics without Makespans,
+// travels in result documents and robustness events.
 type Robustness struct {
 	// Samples is the number of perturbation seeds evaluated.
-	Samples int
+	Samples int `json:"samples"`
 	// Mean and the percentiles summarize the per-sample makespans.
-	Mean, P50, P95, P99, Min, Max float64
+	Mean float64 `json:"mean"`
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
 	// FailedOut counts samples in which some task exhausted its retry
 	// budget (its fail time still contributes to that sample's makespan).
-	FailedOut int
-	// Makespans holds the per-sample makespans in sample order.
-	Makespans []float64
+	FailedOut int `json:"failedOut,omitempty"`
+	// Makespans holds the per-sample makespans in sample order. Only the
+	// summary statistics travel the wire.
+	Makespans []float64 `json:"-"`
 }
 
 // Percentile returns the q-quantile (0 < q <= 1) of the sampled makespans

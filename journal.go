@@ -4,16 +4,18 @@ package stubby
 // internal/service/journal.go and internal/recordlog for the on-disk
 // format): OpenJournal + WithJournal make a Server crash-safe. Every
 // accepted submission is journaled — verbatim request document,
-// propagated deadline, and each lifecycle transition — in an append-only
-// CRC-checked log, and a server constructed over a reopened journal
-// re-enqueues exactly the jobs that were in flight when the previous
-// process died, under their original IDs. Re-executed jobs complete idempotently through the plan store
-// (same fingerprint key, byte-identical plan), canceled jobs stay
-// canceled, and finished jobs are never resurrected.
+// propagated deadline, and each lifecycle transition, written inside the
+// state change before it is observable — in an append-only CRC-checked
+// log, and a server constructed over a reopened journal re-enqueues
+// exactly the jobs that were in flight when the previous process died,
+// under their original IDs. Re-executed jobs complete idempotently through
+// the plan store (same fingerprint key, byte-identical plan), canceled
+// jobs stay canceled, and finished jobs are never resurrected.
 
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"github.com/stubby-mr/stubby/internal/planio"
@@ -70,7 +72,9 @@ func (j *Journal) Close() error { return j.j.Close() }
 // WithJournal attaches a durable job journal to the server: accepted
 // submissions are journaled before they are acknowledged (one the journal
 // cannot record is withdrawn and rejected with ErrKindUnavailable),
-// lifecycle transitions are appended as they happen, and NewServer
+// each later lifecycle transition is appended before it is observable (a
+// job that finished before it was acknowledged, such as a plan-store hit,
+// leaves no records), and NewServer
 // re-enqueues the journal's incomplete jobs — under their original IDs —
 // before serving traffic. A journaled server also deduplicates in-flight
 // submissions: a request whose resolved (workflow, cluster, planner, seed)
@@ -118,6 +122,9 @@ func (s *Server) recoverJournaled() {
 			DisableIncremental: req.DisableIncremental,
 			resumeID:           in.ID,
 		}
+		// The submit record is already on disk: every transition journals.
+		jj := &jobJournal{s: s, key: s.sess.requestKey(oreq), submitted: true}
+		oreq.onTransition = jj.transition
 		if in.DeadlineUnixMS > 0 {
 			// An already-expired deadline still re-enqueues: the job fails
 			// promptly with a deadline error, which is the terminal record
@@ -140,27 +147,67 @@ func (s *Server) recoverJournaled() {
 			_ = s.journal.j.AppendState(in.ID, service.Failed)
 			continue
 		}
-		s.adopt(h, s.sess.requestKey(oreq))
+		_ = jj.admit(in.ID, nil, 0) // appends nothing: the record is on disk
+		s.adopt(h)
 	}
 }
 
-// watch journals h's lifecycle transitions (Running and the terminal
-// state; Queued is implied by the submit record) and, once the job is
-// terminal, retires its fingerprint from the in-flight index.
-func (s *Server) watch(h *OptimizeHandle, key string) {
-	for ev := range h.Events(context.Background()) {
-		sc, ok := ev.(StateChangedEvent)
-		if !ok || sc.State == StateQueued {
-			continue
-		}
-		_ = s.journal.j.AppendState(h.ID(), sc.State)
+// jobJournal orders one job's journal records and in-flight index entry
+// against its state changes. Its transition method is the job's transition
+// hook, so each transition is on disk before it is observable; its mutex
+// makes the submit record and the transitions agree on one order:
+//
+//   - a transition before the submit record writes nothing (the submit
+//     record will carry the job, or the job finished and needs none);
+//   - a job that finished before it was admitted writes nothing at all: it
+//     has nothing to recover (a plan-store hit finishes inside Submit);
+//   - a finished job retires its in-flight index entry.
+type jobJournal struct {
+	s   *Server
+	key string // the job's in-flight index key (Session.requestKey)
+
+	mu        sync.Mutex
+	submitted bool // the submit record is on disk
+	finished  bool // the job reached a terminal state
+}
+
+// transition journals one lifecycle transition of job id.
+func (jj *jobJournal) transition(id string, st JobState) {
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	if jj.submitted {
+		// A failed append is counted in the journal's Errors; the state
+		// change itself cannot be refused.
+		_ = jj.s.journal.j.AppendState(id, st)
 	}
-	// The stream closes after the terminal event.
-	if key != "" {
-		s.mu.Lock()
-		if s.inflight[key] == h.ID() {
-			delete(s.inflight, key)
-		}
-		s.mu.Unlock()
+	if !st.Terminal() {
+		return
 	}
+	jj.finished = true
+	jj.s.inflightMu.Lock()
+	if jj.s.inflight[jj.key] == id {
+		delete(jj.s.inflight, jj.key)
+	}
+	jj.s.inflightMu.Unlock()
+}
+
+// admit journals job id's submit record, unless it is already on disk (a
+// recovered job), and indexes the job as in flight. A job that already
+// finished is neither journaled nor indexed.
+func (jj *jobJournal) admit(id string, doc []byte, deadlineMS int64) error {
+	jj.mu.Lock()
+	defer jj.mu.Unlock()
+	if jj.finished {
+		return nil
+	}
+	if !jj.submitted {
+		if err := jj.s.journal.j.AppendSubmit(id, doc, deadlineMS); err != nil {
+			return err
+		}
+		jj.submitted = true
+	}
+	jj.s.inflightMu.Lock()
+	jj.s.inflight[jj.key] = id
+	jj.s.inflightMu.Unlock()
+	return nil
 }

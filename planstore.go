@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/stubby-mr/stubby/internal/optimizer"
-	"github.com/stubby-mr/stubby/internal/planio"
 	"github.com/stubby-mr/stubby/internal/planstore"
 	"github.com/stubby-mr/stubby/internal/wf"
 	"github.com/stubby-mr/stubby/internal/whatif/estcache"
@@ -113,37 +111,19 @@ func (s *Session) requestKey(req OptimizeRequest) string {
 		estcache.ClusterFingerprint(cluster), name, seed)
 }
 
-// encodeStoredResult renders an optimization result as the planio wire
-// document the store persists, stamped with the plan's fingerprint so
-// every later read is integrity-checked end to end.
-func encodeStoredResult(res *Result) ([]byte, error) {
-	return planio.EncodeResult(&planio.Result{
-		Plan:           res.Plan,
-		EstimatedCost:  res.EstimatedCost,
-		DurationMS:     float64(res.Duration) / float64(time.Millisecond),
-		WhatIfCalls:    res.WhatIfCalls,
-		WhatIfComputed: res.WhatIfComputed,
-		FlowCards:      res.FlowCards,
-		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
-		ReusedSubplans: res.ReusedSubplans,
-	})
-}
-
-// decodeStoredResult reconstructs a stored plan, binding its stage
-// functions through the submitted workflow's own function library (the
-// optimizer only rearranges the submitter's stages, so the input workflow
-// carries every binding the optimized plan references). The decode
-// re-verifies the stamped fingerprint; a document that fails to decode or
-// verify is treated as a miss by the callers, never returned.
+// decodeStoredResult reconstructs a stored plan with its stage functions
+// bound through the submitted workflow w (see decodeResult). A store hit
+// carries only the plan and its cost: FromStore is set and the search
+// counters, duration and robustness report stay zero, since this call paid
+// for none of them. A document that fails to decode or verify is treated
+// as a miss by the callers, never returned.
 func decodeStoredResult(doc []byte, w *Workflow) (*Result, error) {
-	reg := planio.NewRegistry()
-	reg.RegisterWorkflow(w)
-	wres, err := planio.DecodeResultBound(doc, reg)
+	res, err := decodeResult(doc, w)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Plan: wres.Plan, EstimatedCost: wres.EstimatedCost, FromStore: true,
-		ReusedSubplans: wres.ReusedSubplans}, nil
+	return &Result{Plan: res.Plan, EstimatedCost: res.EstimatedCost, FromStore: true,
+		ReusedSubplans: res.ReusedSubplans}, nil
 }
 
 // storeLookup is the non-computing store probe Submit uses before
@@ -180,7 +160,7 @@ func (s *Session) optimizeNamed(ctx context.Context, w *Workflow, name string, s
 				return nil, rerr
 			}
 			computed = res
-			return encodeStoredResult(res)
+			return encodeResult(res)
 		})
 		if computed != nil {
 			// This call ran the search. Even if encoding for persistence

@@ -25,7 +25,7 @@ const deadlineHeader = "X-Stubby-Deadline-MS"
 
 // Server exposes a Session's Submit lifecycle over HTTP — the handler
 // behind the stubbyd command, embeddable in any mux. The API is versioned
-// JSON over five routes:
+// JSON over eight routes (a coordinator adds the /v1/cluster routes):
 //
 //	POST /v1/jobs              submit an optimize-request document → 202 {id, state}
 //	GET  /v1/jobs/{id}         status + progress snapshot
@@ -34,7 +34,8 @@ const deadlineHeader = "X-Stubby-Deadline-MS"
 //	GET  /v1/jobs/{id}/events  NDJSON event stream (?from=N resumes at line N)
 //	GET  /healthz              liveness + queue shape (200 even while draining)
 //	GET  /readyz               readiness (503 the moment Drain begins)
-//	GET  /statsz               queue/estimate-cache/plan-store/journal counters
+//	GET  /statsz               queue, estimate-cache, plan-store, reuse-catalog,
+//	                           journal and cluster counters
 //
 // Errors travel as {"error": {kind, op, workflow, job, message}} with the
 // kind-appropriate HTTP status (429 overloaded, 503 draining, 404 unknown
@@ -50,10 +51,15 @@ type Server struct {
 	coordinator *Coordinator // cluster dispatch (WithCoordinator), nil without one
 	draining    atomic.Bool
 
-	mu       sync.RWMutex
-	jobs     map[string]*OptimizeHandle
-	order    []string          // submission order, for terminal-handle pruning
-	inflight map[string]string // request fingerprint → live job ID (journaled servers)
+	mu    sync.RWMutex
+	jobs  map[string]*OptimizeHandle
+	order []string // submission order, for terminal-handle pruning
+
+	// inflight maps a request fingerprint to its live job's ID (journaled
+	// servers). It has its own lock because jobs retire their entry from
+	// inside a state change, while pruneLocked reads job states under mu.
+	inflightMu sync.Mutex
+	inflight   map[string]string
 }
 
 // ServerOption configures a Server under construction.
@@ -129,21 +135,13 @@ func NewServer(sess *Session, opts ...ServerOption) *Server {
 	return s
 }
 
-// adopt registers a freshly submitted (or recovered) handle for lookup,
-// indexes its fingerprint as in-flight, and — on journaled servers —
-// starts the watcher that journals its lifecycle transitions.
-func (s *Server) adopt(h *OptimizeHandle, key string) {
+// adopt registers a freshly submitted (or recovered) handle for lookup.
+func (s *Server) adopt(h *OptimizeHandle) {
 	s.mu.Lock()
 	s.jobs[h.ID()] = h
 	s.order = append(s.order, h.ID())
-	if s.journal != nil && key != "" {
-		s.inflight[key] = h.ID()
-	}
 	s.pruneLocked()
 	s.mu.Unlock()
-	if s.journal != nil {
-		go s.watch(h, key)
-	}
 }
 
 // ServeHTTP implements http.Handler.
@@ -279,34 +277,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			oreq.deadline = time.Now().Add(time.Duration(v) * time.Millisecond)
 		}
 	}
-	var key string
+	var jj *jobJournal
 	if s.journal != nil {
 		// Idempotent admission: a fingerprint already in flight means this
 		// submission is a retry (or a concurrent duplicate) of live work —
 		// attach to the existing job instead of running it twice.
-		key = s.sess.requestKey(oreq)
+		jj = &jobJournal{s: s, key: s.sess.requestKey(oreq)}
+		s.inflightMu.Lock()
+		id := s.inflight[jj.key]
+		s.inflightMu.Unlock()
 		s.mu.RLock()
-		prior := s.jobs[s.inflight[key]]
+		prior := s.jobs[id]
 		s.mu.RUnlock()
 		if prior != nil && !prior.State().Terminal() {
 			writeJSON(w, http.StatusAccepted,
 				planio.SubmitResponse{ID: prior.ID(), State: prior.State().String()})
 			return
 		}
+		oreq.onTransition = jj.transition
 	}
 	h, err := s.sess.Submit(r.Context(), oreq)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if s.journal != nil {
+	if jj != nil {
 		// Journal before acknowledging: a submission the client saw accepted
 		// is guaranteed to be re-enqueued if the process dies.
 		var deadlineMS int64
 		if !oreq.deadline.IsZero() {
 			deadlineMS = oreq.deadline.UnixMilli()
 		}
-		if err := s.journal.j.AppendSubmit(h.ID(), body, deadlineMS); err != nil {
+		if err := jj.admit(h.ID(), body, deadlineMS); err != nil {
 			// Unjournaled work must not be acknowledged: a crash would lose
 			// it silently. Withdraw the job and let the client retry.
 			h.Cancel()
@@ -314,7 +316,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.adopt(h, key)
+	s.adopt(h)
 	writeJSON(w, http.StatusAccepted, planio.SubmitResponse{ID: h.ID(), State: h.State().String()})
 }
 
@@ -398,17 +400,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	data, err := planio.EncodeResult(&planio.Result{
-		Plan:           res.Plan,
-		EstimatedCost:  res.EstimatedCost,
-		DurationMS:     float64(res.Duration.Milliseconds()),
-		WhatIfCalls:    res.WhatIfCalls,
-		WhatIfComputed: res.WhatIfComputed,
-		FlowCards:      res.FlowCards,
-		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
-		Robustness:     robustnessDoc(res.Robustness),
-		ReusedSubplans: res.ReusedSubplans,
-	})
+	data, err := encodeResult(res)
 	if err != nil {
 		s.writeError(w, stubbyerr.From("result", h.WorkflowName(), err))
 		return
@@ -416,6 +408,53 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(data)
+}
+
+// encodeResult renders res as the versioned result document every result
+// path shares — HTTP responses and plan-store records — stamped with the
+// plan's fingerprint so every reader verifies it end to end.
+func encodeResult(res *Result) ([]byte, error) {
+	return planio.EncodeResult(&planio.Result{
+		Plan:           res.Plan,
+		EstimatedCost:  res.EstimatedCost,
+		DurationMS:     float64(res.Duration) / float64(time.Millisecond),
+		WhatIfCalls:    res.WhatIfCalls,
+		WhatIfComputed: res.WhatIfComputed,
+		FlowCards:      res.FlowCards,
+		Fingerprint:    wf.FingerprintWorkflow(res.Plan).String(),
+		Robustness:     res.Robustness,
+		ReusedSubplans: res.ReusedSubplans,
+	})
+}
+
+// decodeResult parses a result document, verifying its fingerprint. With a
+// nil w the plan is structure-only (a Client never holds stage functions);
+// otherwise its stages are bound through w's function library, which
+// carries every binding an optimized plan of w references because the
+// optimizer only rearranges the submitter's stages.
+func decodeResult(data []byte, w *Workflow) (*Result, error) {
+	var doc *planio.Result
+	var err error
+	if w == nil {
+		doc, err = planio.DecodeResult(data)
+	} else {
+		reg := planio.NewRegistry()
+		reg.RegisterWorkflow(w)
+		doc, err = planio.DecodeResultBound(data, reg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Plan:           doc.Plan,
+		EstimatedCost:  doc.EstimatedCost,
+		Duration:       time.Duration(doc.DurationMS * float64(time.Millisecond)),
+		WhatIfCalls:    doc.WhatIfCalls,
+		WhatIfComputed: doc.WhatIfComputed,
+		FlowCards:      doc.FlowCards,
+		Robustness:     doc.Robustness,
+		ReusedSubplans: doc.ReusedSubplans,
+	}, nil
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -490,9 +529,10 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStatsz serves the counters of every subsystem the serving session
-// carries: queue occupancy, estimate-cache activity, and plan-store
-// activity. Every counter read is an atomic snapshot, so polling /statsz
+// handleStatsz serves the counters of every subsystem the server carries:
+// queue occupancy, then the estimate cache, plan store, reuse catalog,
+// journal and coordinator, each section omitted when the subsystem is not
+// attached. Every counter read is an atomic snapshot, so polling /statsz
 // never contends with the optimizer's hot paths.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	q := s.sess.jobQueue()
@@ -500,9 +540,9 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		status = "draining"
 	}
-	doc := &planio.StatszDoc{
+	doc := &statszDoc{
 		Status: status,
-		Queue: planio.QueueStatsDoc{
+		Queue: queueDoc{
 			Workers: q.Workers(),
 			Depth:   q.Depth(),
 			Queued:  q.Queued(),
@@ -510,173 +550,135 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	if stats, ok := s.sess.EstimateCacheStats(); ok {
-		doc.EstCache = cacheStatsDoc(stats)
+		doc.EstCache = &stats
 	}
 	if stats, ok := s.sess.PlanStoreStats(); ok {
-		doc.PlanStore = storeStatsDoc(stats)
+		doc.PlanStore = &stats
 	}
 	if stats, ok := s.sess.ReuseCatalogStats(); ok {
-		doc.ReuseCatalog = reuseStatsDoc(stats)
+		doc.ReuseCatalog = &stats
 	}
 	if stats, ok := s.JournalStats(); ok {
-		doc.Journal = journalStatsDoc(stats)
+		doc.Journal = &stats
 	}
-	if s.coordinator != nil {
-		cs := s.coordinator.Stats()
-		doc.Cluster = &cs
+	if stats, ok := s.ClusterStats(); ok {
+		doc.Cluster = &stats
 	}
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// journalStatsDoc converts journal stats to their wire form.
-func journalStatsDoc(st JournalStats) *planio.JournalStatsDoc {
-	return &planio.JournalStatsDoc{Submits: st.Submits, Transitions: st.Transitions,
-		Recovered: st.Recovered, Compacted: st.Compacted, Compactions: st.Compactions,
-		TornBytes: st.TornBytes, BytesWritten: st.BytesWritten, Errors: st.Errors}
+// queueDoc is the wire form of the job queue's occupancy.
+type queueDoc struct {
+	Workers int `json:"workers"`
+	Depth   int `json:"depth"`
+	Queued  int `json:"queued"`
+	Busy    int `json:"busy"`
 }
 
-// journalStatsFromDoc is the client-side inverse of journalStatsDoc.
-func journalStatsFromDoc(d *planio.JournalStatsDoc) JournalStats {
-	if d == nil {
-		return JournalStats{}
-	}
-	return JournalStats{Submits: d.Submits, Transitions: d.Transitions,
-		Recovered: d.Recovered, Compacted: d.Compacted, Compactions: d.Compactions,
-		TornBytes: d.TornBytes, BytesWritten: d.BytesWritten, Errors: d.Errors}
+// statszDoc is the wire form of /statsz: server status plus the counters of
+// every subsystem the serving session carries, each section nil (omitted)
+// when the subsystem is not attached. Client.Stats decodes the same type.
+type statszDoc struct {
+	Status       string              `json:"status"`
+	Queue        queueDoc            `json:"queue"`
+	EstCache     *EstimateCacheStats `json:"estcache,omitempty"`
+	PlanStore    *PlanStoreStats     `json:"planstore,omitempty"`
+	ReuseCatalog *ReuseCatalogStats  `json:"reusecatalog,omitempty"`
+	Journal      *JournalStats       `json:"journal,omitempty"`
+	Cluster      *ClusterStats       `json:"cluster,omitempty"`
 }
 
-// cacheStatsDoc converts estimate-cache stats to their wire form.
-func cacheStatsDoc(st EstimateCacheStats) *planio.CacheStatsDoc {
-	return &planio.CacheStatsDoc{Hits: st.Hits, Misses: st.Misses,
-		Evictions: st.Evictions, Entries: st.Entries, Capacity: st.Capacity}
-}
+// Progress event type tags (eventDoc.Type).
+const (
+	eventUnitStarted       = "unitStarted"
+	eventSubplanEnumerated = "subplanEnumerated"
+	eventBestCostImproved  = "bestCostImproved"
+	eventJobFinished       = "jobFinished"
+	eventCacheReport       = "cacheReport"
+	eventStateChanged      = "stateChanged"
+	eventStoreReport       = "storeReport"
+	eventRobustness        = "robustness"
+	eventReuseReport       = "reuseReport"
+)
 
-// storeStatsDoc converts plan-store stats to their wire form.
-func storeStatsDoc(st PlanStoreStats) *planio.StoreStatsDoc {
-	return &planio.StoreStatsDoc{Hits: st.Hits, MemHits: st.MemHits,
-		DiskHits: st.DiskHits, Misses: st.Misses, Computes: st.Computes,
-		Puts: st.Puts, Evictions: st.Evictions, BytesWritten: st.BytesWritten,
-		BytesRead: st.BytesRead, Errors: st.Errors, Entries: st.Entries,
-		Segments: st.Segments, Claims: st.Claims, ClaimWaits: st.ClaimWaits,
-		ClaimHits: st.ClaimHits}
-}
-
-// storeStatsFromDoc is the client-side inverse of storeStatsDoc.
-func storeStatsFromDoc(d *planio.StoreStatsDoc) PlanStoreStats {
-	if d == nil {
-		return PlanStoreStats{}
-	}
-	return PlanStoreStats{Hits: d.Hits, MemHits: d.MemHits,
-		DiskHits: d.DiskHits, Misses: d.Misses, Computes: d.Computes,
-		Puts: d.Puts, Evictions: d.Evictions, BytesWritten: d.BytesWritten,
-		BytesRead: d.BytesRead, Errors: d.Errors, Entries: d.Entries,
-		Segments: d.Segments, Claims: d.Claims, ClaimWaits: d.ClaimWaits,
-		ClaimHits: d.ClaimHits}
-}
-
-// reuseStatsDoc converts reuse-catalog stats to their wire form.
-func reuseStatsDoc(st ReuseCatalogStats) *planio.ReuseStatsDoc {
-	return &planio.ReuseStatsDoc{Entries: st.Entries, Puts: st.Puts,
-		Hits: st.Hits, Misses: st.Misses, Compacted: st.Compacted,
-		TornBytes: st.TornBytes, BytesWritten: st.BytesWritten, Errors: st.Errors,
-		Expired: st.Expired, Vanished: st.Vanished}
-}
-
-// reuseStatsFromDoc is the client-side inverse of reuseStatsDoc.
-func reuseStatsFromDoc(d *planio.ReuseStatsDoc) ReuseCatalogStats {
-	if d == nil {
-		return ReuseCatalogStats{}
-	}
-	return ReuseCatalogStats{Entries: d.Entries, Puts: d.Puts,
-		Hits: d.Hits, Misses: d.Misses, Compacted: d.Compacted,
-		TornBytes: d.TornBytes, BytesWritten: d.BytesWritten, Errors: d.Errors,
-		Expired: d.Expired, Vanished: d.Vanished}
-}
-
-// robustnessDoc converts a robustness report to its wire form (nil-safe).
-func robustnessDoc(r *Robustness) *planio.RobustnessDoc {
-	if r == nil {
-		return nil
-	}
-	return &planio.RobustnessDoc{Samples: r.Samples, Mean: r.Mean, P50: r.P50,
-		P95: r.P95, P99: r.P99, Min: r.Min, Max: r.Max, FailedOut: r.FailedOut}
-}
-
-// robustnessFromDoc converts a wire robustness report back (nil-safe). The
-// per-sample makespans never travel the wire — only summary statistics do.
-func robustnessFromDoc(d *planio.RobustnessDoc) *Robustness {
-	if d == nil {
-		return nil
-	}
-	return &Robustness{Samples: d.Samples, Mean: d.Mean, P50: d.P50,
-		P95: d.P95, P99: d.P99, Min: d.Min, Max: d.Max, FailedOut: d.FailedOut}
+// eventDoc is the wire form of one progress event: a closed set of type
+// tags over a flat field union (NDJSON-friendly — one compact object per
+// stream line). Unknown types are skipped by clients, so the stream can
+// grow new event kinds without breaking old readers.
+type eventDoc struct {
+	Type       string              `json:"type"`
+	Workflow   string              `json:"workflow,omitempty"`
+	JobID      string              `json:"jobId,omitempty"`
+	Phase      string              `json:"phase,omitempty"`
+	Unit       int                 `json:"unit,omitempty"`
+	Jobs       []string            `json:"jobs,omitempty"`
+	Desc       string              `json:"desc,omitempty"`
+	Cost       float64             `json:"cost,omitempty"`
+	Job        string              `json:"job,omitempty"`
+	Start      float64             `json:"start,omitempty"`
+	End        float64             `json:"end,omitempty"`
+	State      string              `json:"state,omitempty"`
+	Error      *planio.ErrorDoc    `json:"error,omitempty"`
+	Cache      *EstimateCacheStats `json:"cache,omitempty"`
+	Hit        bool                `json:"hit,omitempty"`
+	Store      *PlanStoreStats     `json:"store,omitempty"`
+	Robustness *Robustness         `json:"robustness,omitempty"`
+	Reused     int                 `json:"reused,omitempty"`
+	Reuse      *ReuseCatalogStats  `json:"reuse,omitempty"`
 }
 
 // eventToDoc converts a typed event to its wire form.
-func eventToDoc(ev Event) *planio.EventDoc {
+func eventToDoc(ev Event) *eventDoc {
 	switch e := ev.(type) {
 	case UnitStartedEvent:
-		return &planio.EventDoc{Type: planio.EventUnitStarted, Workflow: e.Workflow,
+		return &eventDoc{Type: eventUnitStarted, Workflow: e.Workflow,
 			Phase: e.Phase, Unit: e.Unit, Jobs: e.Jobs}
 	case SubplanEnumeratedEvent:
-		return &planio.EventDoc{Type: planio.EventSubplanEnumerated, Workflow: e.Workflow,
+		return &eventDoc{Type: eventSubplanEnumerated, Workflow: e.Workflow,
 			Unit: e.Unit, Desc: e.Desc, Cost: e.Cost}
 	case BestCostImprovedEvent:
-		return &planio.EventDoc{Type: planio.EventBestCostImproved, Workflow: e.Workflow,
+		return &eventDoc{Type: eventBestCostImproved, Workflow: e.Workflow,
 			Unit: e.Unit, Desc: e.Desc, Cost: e.Cost}
 	case JobFinishedEvent:
-		return &planio.EventDoc{Type: planio.EventJobFinished, Workflow: e.Workflow,
+		return &eventDoc{Type: eventJobFinished, Workflow: e.Workflow,
 			Job: e.Job, Start: e.Start, End: e.End}
 	case CacheReportEvent:
-		return &planio.EventDoc{Type: planio.EventCacheReport, Workflow: e.Workflow,
-			Cache: &planio.CacheStatsDoc{Hits: e.Stats.Hits, Misses: e.Stats.Misses,
-				Evictions: e.Stats.Evictions, Entries: e.Stats.Entries, Capacity: e.Stats.Capacity}}
+		return &eventDoc{Type: eventCacheReport, Workflow: e.Workflow, Cache: &e.Stats}
 	case PlanStoreEvent:
-		return &planio.EventDoc{Type: planio.EventStoreReport, Workflow: e.Workflow,
-			Hit: e.Hit, Store: storeStatsDoc(e.Stats)}
+		return &eventDoc{Type: eventStoreReport, Workflow: e.Workflow, Hit: e.Hit, Store: &e.Stats}
 	case RobustnessEvent:
-		return &planio.EventDoc{Type: planio.EventRobustness, Workflow: e.Workflow,
-			Robustness: robustnessDoc(e.Report)}
+		return &eventDoc{Type: eventRobustness, Workflow: e.Workflow, Robustness: e.Report}
 	case ReuseReportEvent:
-		return &planio.EventDoc{Type: planio.EventReuseReport, Workflow: e.Workflow,
-			Reused: e.Reused, Reuse: reuseStatsDoc(e.Stats)}
+		return &eventDoc{Type: eventReuseReport, Workflow: e.Workflow, Reused: e.Reused, Reuse: &e.Stats}
 	case StateChangedEvent:
-		return &planio.EventDoc{Type: planio.EventStateChanged, Workflow: e.Workflow,
+		return &eventDoc{Type: eventStateChanged, Workflow: e.Workflow,
 			JobID: e.JobID, State: e.State.String(), Error: planio.NewErrorDoc(e.Err)}
 	default:
-		return &planio.EventDoc{Type: fmt.Sprintf("unknown(%T)", ev), Workflow: ev.WorkflowName()}
+		return &eventDoc{Type: fmt.Sprintf("unknown(%T)", ev), Workflow: ev.WorkflowName()}
 	}
 }
 
-// eventFromDoc converts a wire event back to its typed form; ok is false
+// typed converts a wire event back to its typed form; ok is false
 // for event types this build does not know (skipped by stream readers).
-func eventFromDoc(d *planio.EventDoc) (Event, bool) {
+func (d *eventDoc) typed() (Event, bool) {
 	switch d.Type {
-	case planio.EventUnitStarted:
+	case eventUnitStarted:
 		return UnitStartedEvent{Workflow: d.Workflow, Phase: d.Phase, Unit: d.Unit, Jobs: d.Jobs}, true
-	case planio.EventSubplanEnumerated:
+	case eventSubplanEnumerated:
 		return SubplanEnumeratedEvent{Workflow: d.Workflow, Unit: d.Unit, Desc: d.Desc, Cost: d.Cost}, true
-	case planio.EventBestCostImproved:
+	case eventBestCostImproved:
 		return BestCostImprovedEvent{Workflow: d.Workflow, Unit: d.Unit, Desc: d.Desc, Cost: d.Cost}, true
-	case planio.EventJobFinished:
+	case eventJobFinished:
 		return JobFinishedEvent{Workflow: d.Workflow, Job: d.Job, Start: d.Start, End: d.End}, true
-	case planio.EventCacheReport:
-		var stats EstimateCacheStats
-		if d.Cache != nil {
-			stats = EstimateCacheStats{Hits: d.Cache.Hits, Misses: d.Cache.Misses,
-				Evictions: d.Cache.Evictions, Entries: d.Cache.Entries, Capacity: d.Cache.Capacity}
-		}
-		return CacheReportEvent{Workflow: d.Workflow, Stats: stats}, true
-	case planio.EventStoreReport:
-		return PlanStoreEvent{Workflow: d.Workflow, Hit: d.Hit,
-			Stats: storeStatsFromDoc(d.Store)}, true
-	case planio.EventRobustness:
-		return RobustnessEvent{Workflow: d.Workflow,
-			Report: robustnessFromDoc(d.Robustness)}, true
-	case planio.EventReuseReport:
-		return ReuseReportEvent{Workflow: d.Workflow, Reused: d.Reused,
-			Stats: reuseStatsFromDoc(d.Reuse)}, true
-	case planio.EventStateChanged:
+	case eventCacheReport:
+		return CacheReportEvent{Workflow: d.Workflow, Stats: deref(d.Cache)}, true
+	case eventStoreReport:
+		return PlanStoreEvent{Workflow: d.Workflow, Hit: d.Hit, Stats: deref(d.Store)}, true
+	case eventRobustness:
+		return RobustnessEvent{Workflow: d.Workflow, Report: d.Robustness}, true
+	case eventReuseReport:
+		return ReuseReportEvent{Workflow: d.Workflow, Reused: d.Reused, Stats: deref(d.Reuse)}, true
+	case eventStateChanged:
 		st, err := parseJobState(d.State)
 		if err != nil {
 			return nil, false
@@ -685,6 +687,15 @@ func eventFromDoc(d *planio.EventDoc) (Event, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// deref returns *p, or the zero value for a section absent from the wire.
+func deref[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // parseJobState maps a wire spelling back to a JobState.

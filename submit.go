@@ -64,6 +64,10 @@ type OptimizeRequest struct {
 	// deadline bounds the job's execution absolutely (zero = none). The
 	// server sets it from the client's propagated wire deadline.
 	deadline time.Time
+	// onTransition, when set, runs inside each of the job's transitions out
+	// of Queued, before the new state is observable — a journaled server
+	// uses it to make every transition durable first.
+	onTransition func(id string, st JobState)
 }
 
 // Progress is a point-in-time snapshot of a submitted job.
@@ -285,7 +289,7 @@ func (s *Session) Submit(ctx context.Context, req OptimizeRequest) (*OptimizeHan
 		workflow: wfName,
 		obs:      s.observer,
 	}
-	h.job = service.NewJobWithDeadline(h.id, req.deadline, func(ctx context.Context) (any, error) {
+	h.job = service.NewJobWithDeadline(h.id, req.deadline, req.onTransition, func(ctx context.Context) (any, error) {
 		var res *Result
 		var err error
 		if target.dispatch != nil {

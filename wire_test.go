@@ -344,6 +344,41 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
+// TestWireDurationKeepsFraction: Result.Duration crosses Server → Client
+// to within a microsecond. The result document carries fractional
+// milliseconds; a whole-millisecond encoding would lose up to 1 ms.
+func TestWireDurationKeepsFraction(t *testing.T) {
+	wl := profiledWorkload(t, "IR", 0.1, 1)
+	sess, err := stubby.NewSession(stubby.WithCluster(wl.Cluster), stubby.WithSeed(1),
+		stubby.WithOptimizerOptions(stubby.Options{RRSEvals: 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := stubby.NewServer(sess)
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	client, err := stubby.NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	job, err := client.Submit(ctx, stubby.OptimizeRequest{Workflow: wl.Workflow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := srv.JobResultForTest(ctx, job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := got.Duration - want.Duration; d < -time.Microsecond || d > time.Microsecond {
+		t.Errorf("wire Duration = %v, server-side Duration = %v", got.Duration, want.Duration)
+	}
+}
+
 // serviceFixture stands up a stubbyd server (real HTTP listener) over a
 // fresh session and returns a client for it.
 func serviceFixture(t *testing.T, opts ...stubby.SessionOption) (*stubby.Session, *httptest.Server, *stubby.Client) {
